@@ -281,28 +281,27 @@ def _auto_k(s, n: int, p: int) -> int:
     return select_rank_largest_gap(s, k_max)
 
 
-def _k_arg(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
-    if k < 1:
-        raise argparse.ArgumentTypeError("k must be a positive integer or 'auto'")
-    return k
+def _rank_arg(name: str, keyword: str):
+    """argparse type for a positive integer rank or ``keyword``."""
+
+    def parse(text: str):
+        if text == keyword:
+            return keyword
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer or '{keyword}', got {text!r}"
+            ) from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be a positive integer or '{keyword}'")
+        return value
+
+    return parse
 
 
-def _ell_arg(text: str):
-    if text == "same":
-        return "same"
-    try:
-        ell = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'same', got {text!r}") from None
-    if ell < 1:
-        raise argparse.ArgumentTypeError("ell must be a positive integer or 'same'")
-    return ell
+_k_arg = _rank_arg("k", "auto")
+_ell_arg = _rank_arg("ell", "same")
 
 
 def _seed_range(master: int, count, default: int) -> list:

@@ -175,12 +175,15 @@ class SvdFactors:
 
 
 def _apply_sign_convention(u: np.ndarray, vt: np.ndarray):
-    # argmax on |column| returns the lowest index among ties
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
+    if u.size == 0:
+        return
+    mag = np.abs(u)
+    # argmax returns the first True: among entries tied for the largest
+    # magnitude in a column, the one with the lowest row index
+    peak_rows = (mag == mag.max(axis=0)).argmax(axis=0)
+    sign = np.where(u[peak_rows, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    u *= sign  # multiplying by 1.0 or -1.0 is exact
+    vt *= sign[:, None]
 
 
 def svd(m) -> SvdFactors:
@@ -205,9 +208,7 @@ def svd(m) -> SvdFactors:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConverge(str(exc)) from exc
-    u = u.copy()
-    vt = vt.copy()
-    _apply_sign_convention(u, vt)
+    _apply_sign_convention(u, vt)  # in place: LAPACK's outputs are ours
     return SvdFactors(singular_values=s, left_vectors=u, right_vectors=vt.T)
 
 

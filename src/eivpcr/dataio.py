@@ -5,6 +5,15 @@ All real numbers are serialized as shortest-round-trip decimals (17
 significant digits when needed), so write->read returns bit-identical
 floats. Parsing uses the C locale's decimal point regardless of the
 environment.
+
+Cell grammar of the CSV readers. The ``csv`` module splits the text into
+rows and fields (its default dialect with the spec's delimiter: double-quote
+quoting, ``\n``, ``\r\n`` or ``\r`` line ends, and a blank line is a row
+with no fields). Each field is stripped of surrounding whitespace. A field
+equal to one of the spec's NA tokens is missing; any other field must be
+accepted by Python's ``float()`` (so ``1_000``, ``1e-320`` and non-ASCII
+decimal digits are numbers) and be finite. An error names the first ragged
+row or bad cell in file order.
 """
 from __future__ import annotations
 
@@ -12,6 +21,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +34,10 @@ from .synthetic_control import PanelDataset
 MODEL_SCHEMA_VERSION = 1
 
 _NA_OUT = "NA"
+
+# Cells parsed per block: small enough that a block's strings stay in cache
+# between the passes over them, large enough that per-block costs vanish.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,50 +67,77 @@ def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     """
     with open(spec.path, newline="") as f:
         reader = csv.reader(f, delimiter=spec.delimiter)
-        rows = list(reader)
-    labels = None
-    if spec.has_header:
-        if not rows:
-            raise ParseError(f"{spec.path}: empty file, expected a header row")
-        labels = tuple(tok.strip() for tok in rows[0])
-        rows = rows[1:]
-    if not rows:
-        raise ParseError(f"{spec.path}: no data rows")
-    width = len(rows[0])
-    if labels is not None and len(labels) != width:
-        raise Ragged(
-            f"{spec.path}: header has {len(labels)} fields, first data row has {width}"
-        )
-    values = np.empty((len(rows), width))
-    mask = np.empty((len(rows), width), dtype=bool)
-    for i, row in enumerate(rows):
-        if len(row) != width:
+        labels = None
+        if spec.has_header:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{spec.path}: empty file, expected a header row")
+            labels = tuple(tok.strip() for tok in header)
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"{spec.path}: no data rows")
+        width = len(first)
+        if labels is not None and len(labels) != width:
             raise Ragged(
-                f"{spec.path}: row {i + 1} has {len(row)} fields, expected {width}"
+                f"{spec.path}: header has {len(labels)} fields, first data row has {width}"
             )
-        for j, tok in enumerate(row):
+        reader = chain([first], reader)
+        block_rows = max(1, _BLOCK_CELLS // max(width, 1))
+        blocks = []
+        while rows := list(islice(reader, block_rows)):
+            blocks.append(_parse_block(spec, rows, width, first_row=1 + len(blocks) * block_rows))
+    values, mask = (np.concatenate(parts) for parts in zip(*blocks))
+    return MaskedMatrix(values=values, mask=mask, col_labels=labels)
+
+
+def _parse_block(spec: CsvMatrixSpec, rows: list, width: int, first_row: int):
+    """Values (NaN where missing) and mask of consecutive data rows, each
+    step one pass over the whole block."""
+    if set(map(len, rows)) != {width}:
+        _raise_first_bad_cell(spec, rows, width, first_row)
+    tokens = list(map(str.strip, chain.from_iterable(rows)))
+    is_na = frozenset(spec.na_tokens).__contains__
+    mask = ~np.fromiter(map(is_na, tokens), dtype=bool, count=len(tokens))
+    try:
+        # the mask's bytes are 0/1 selectors, one per token in file order
+        observed = np.array(list(compress(tokens, mask.tobytes())), dtype=float)
+    except ValueError:
+        _raise_first_bad_cell(spec, rows, width, first_row)
+        raise
+    if not np.isfinite(observed).all():
+        _raise_first_bad_cell(spec, rows, width, first_row)
+    values = np.full(len(tokens), np.nan)
+    values[mask] = observed
+    shape = (len(rows), width)
+    return values.reshape(shape), mask.reshape(shape)
+
+
+def _raise_first_bad_cell(spec: CsvMatrixSpec, rows: list, width: int, first_row: int) -> None:
+    """Raise the error for the first ragged row or bad cell in file order.
+
+    Runs only after a block-level check has failed, to name the culprit.
+    """
+    for i, row in enumerate(rows, first_row):
+        if len(row) != width:
+            raise Ragged(f"{spec.path}: row {i} has {len(row)} fields, expected {width}")
+        for j, tok in enumerate(row, 1):
             tok = tok.strip()
             if tok in spec.na_tokens:
-                values[i, j] = np.nan
-                mask[i, j] = False
                 continue
             try:
                 x = float(tok)
             except ValueError:
                 raise ParseError(
-                    f"{spec.path}: unreadable number {tok!r} at row {i + 1}, column {j + 1}",
-                    row=i + 1,
-                    col=j + 1,
+                    f"{spec.path}: unreadable number {tok!r} at row {i}, column {j}",
+                    row=i,
+                    col=j,
                 ) from None
             if not math.isfinite(x):
                 raise ParseError(
-                    f"{spec.path}: non-finite value {tok!r} at row {i + 1}, column {j + 1}",
-                    row=i + 1,
-                    col=j + 1,
+                    f"{spec.path}: non-finite value {tok!r} at row {i}, column {j}",
+                    row=i,
+                    col=j,
                 )
-            values[i, j] = x
-            mask[i, j] = True
-    return MaskedMatrix(values=values, mask=mask, col_labels=labels)
 
 
 def write_masked_csv(matrix: MaskedMatrix, path, delimiter: str = ",") -> None:

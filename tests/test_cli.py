@@ -79,6 +79,18 @@ class TestFit:
         assert code == 2 and stdout == ""
         assert error_of(stderr)["error"] == "UsageError"
 
+    @pytest.mark.parametrize("k, message", [
+        ("many", "argument --k: expected an integer or 'auto', got 'many'"),
+        ("-2", "argument --k: k must be a positive integer or 'auto'"),
+    ])
+    def test_bad_k_messages(self, tmp_path, identity_files, capsys, k, message):
+        z, y = identity_files
+        code, _, stderr = run_cli(
+            ["fit", "--z", z, "--y", y, "--k", k, "--out", tmp_path / "m.json"], capsys
+        )
+        assert code == 2
+        assert error_of(stderr) == {"error": "UsageError", "message": message}
+
     def test_rank_deficient_request_exits_three(self, tmp_path, capsys):
         z = (tmp_path / "z.csv")
         z.write_text("1,2\n2,4\n")
@@ -151,6 +163,19 @@ class TestPredict:
         )
         assert code == 2
         assert error_of(stderr)["error"] == "UsageError"
+
+    @pytest.mark.parametrize("ell, message", [
+        ("none", "argument --ell: expected an integer or 'same', got 'none'"),
+        ("0", "argument --ell: ell must be a positive integer or 'same'"),
+    ])
+    def test_bad_ell_messages(self, tmp_path, identity_files, capsys, ell, message):
+        model, z = self._fit_identity(tmp_path, identity_files, capsys)
+        code, _, stderr = run_cli(
+            ["predict", "--model", model, "--z-test", z, "--ell", ell,
+             "--out", tmp_path / "p.csv"], capsys
+        )
+        assert code == 2
+        assert error_of(stderr) == {"error": "UsageError", "message": message}
 
 
 def _panel_files(tmp_path, header=True):

@@ -17,6 +17,7 @@ from eivpcr import (
     svd,
     truncate_rank,
 )
+from eivpcr.core import _apply_sign_convention
 
 # Philox(12345) uniforms < 0.8 on 1000x1000; counted once with
 # np.count_nonzero and frozen
@@ -186,6 +187,20 @@ class TestSvd:
             for j in range(4):
                 col = f.left_vectors[:, j]
                 assert col[np.argmax(np.abs(col))] >= 0
+
+    def test_sign_tie_goes_to_the_lowest_index(self):
+        # each column's largest magnitude is held by two entries of opposite sign
+        u = np.array([[-0.5, 0.5, 0.0], [0.5, -0.5, -0.25], [0.25, 0.0, 0.25]])
+        vt = np.arange(1.0, 10.0).reshape(3, 3)
+        expected_u, expected_vt = u * [-1, 1, -1], vt * [[-1], [1], [-1]]
+        _apply_sign_convention(u, vt)
+        assert_array_equal(u, expected_u)
+        assert_array_equal(vt, expected_vt)
+
+    def test_empty_matrix(self):
+        f = svd(np.empty((0, 3)))
+        assert f.rank_bound == 0
+        assert f.left_vectors.shape == (0, 0) and f.right_vectors.shape == (3, 0)
 
     def test_deterministic_bits(self):
         m = _rng(3).normal(size=(7, 5))

@@ -1,8 +1,14 @@
+import csv
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
+
+from eivpcr import dataio
 
 from eivpcr import (
     BadParam,
@@ -35,6 +41,101 @@ def _write(path, text):
     return CsvMatrixSpec(path=str(path))
 
 
+def _reference_read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
+    """The reader as a per-cell loop: the reference the vectorized reader
+    must match bit for bit, errors included."""
+    with open(spec.path, newline="") as f:
+        reader = csv.reader(f, delimiter=spec.delimiter)
+        rows = list(reader)
+    labels = None
+    if spec.has_header:
+        if not rows:
+            raise ParseError(f"{spec.path}: empty file, expected a header row")
+        labels = tuple(tok.strip() for tok in rows[0])
+        rows = rows[1:]
+    if not rows:
+        raise ParseError(f"{spec.path}: no data rows")
+    width = len(rows[0])
+    if labels is not None and len(labels) != width:
+        raise Ragged(
+            f"{spec.path}: header has {len(labels)} fields, first data row has {width}"
+        )
+    values = np.empty((len(rows), width))
+    mask = np.empty((len(rows), width), dtype=bool)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise Ragged(
+                f"{spec.path}: row {i + 1} has {len(row)} fields, expected {width}"
+            )
+        for j, tok in enumerate(row):
+            tok = tok.strip()
+            if tok in spec.na_tokens:
+                values[i, j] = np.nan
+                mask[i, j] = False
+                continue
+            try:
+                x = float(tok)
+            except ValueError:
+                raise ParseError(
+                    f"{spec.path}: unreadable number {tok!r} at row {i + 1}, column {j + 1}",
+                    row=i + 1,
+                    col=j + 1,
+                ) from None
+            if not math.isfinite(x):
+                raise ParseError(
+                    f"{spec.path}: non-finite value {tok!r} at row {i + 1}, column {j + 1}",
+                    row=i + 1,
+                    col=j + 1,
+                )
+            values[i, j] = x
+            mask[i, j] = True
+    return MaskedMatrix(values=values, mask=mask, col_labels=labels)
+
+
+def _outcome(read, spec):
+    """Everything a read yields: value bits, mask and labels, or the error."""
+    try:
+        m = read(spec)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return m.values.shape, m.values.tobytes(), m.mask.tobytes(), m.col_labels
+
+
+_CELLS = st.one_of(
+    st.sampled_from([
+        "0", "-2.5", "1e3", " 3 ", "NA", " NA ", "nan", "NaN", "", " ", "inf", "-Infinity",
+        "1e400", "1e-320", "1_000", "_1", "١٢", "0x1", "zap", "?", '"4"', '"5,6"',
+        '" NA "', '"7\n8"', "1.0000000000000000000000000000000000000000000000000000001",
+    ]),
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+
+
+@st.composite
+def _csv_cases(draw):
+    """(text, has_header, na_tokens, delimiter): mostly rectangular tables
+    of mixed cells, sometimes ragged, plus raw text from CSV's own alphabet."""
+    delimiter = draw(st.sampled_from([",", ";"]))
+    na_tokens = draw(st.sampled_from([("NA", "nan", ""), ("?",), ("NA", "inf", " ")]))
+    has_header = draw(st.booleans())
+    if draw(st.integers(0, 4)) == 0:
+        text = draw(st.text(alphabet=st.sampled_from(list('0123456789.,;-e_ NAnif?"\r\n')),
+                            max_size=40))
+        return text, has_header, na_tokens, delimiter
+    width = draw(st.integers(0, 4))
+    widths = st.sampled_from([width] * 8 + [max(width - 1, 0), width + 1])
+    rows = [draw(st.lists(_CELLS, min_size=w, max_size=w))
+            for w in draw(st.lists(widths, min_size=1, max_size=6))]
+    if has_header:
+        rows.insert(0, [f" u{j} " for j in range(draw(widths))])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(delimiter.join(row) for row in rows)
+    if draw(st.booleans()):
+        text += newline
+    return text, has_header, na_tokens, delimiter
+
+
 class TestReadMaskedCsv:
     def test_basic_grid_with_missing_cell(self, tmp_path):
         spec = _write(tmp_path / "m.csv", "1,2\n3,NA\n")
@@ -53,6 +154,11 @@ class TestReadMaskedCsv:
     def test_crlf_is_accepted(self, tmp_path):
         spec = _write(tmp_path / "m.csv", "1,2\r\n3,4\r\n")
         assert_array_equal(read_masked_csv(spec).values, [[1.0, 2.0], [3.0, 4.0]])
+        m = read_masked_csv(_write(tmp_path / "m.csv", "1,NA\r\n3,4\r\n"))
+        assert_array_equal(m.mask, [[True, False], [True, True]])
+        with pytest.raises(ParseError) as info:
+            read_masked_csv(_write(tmp_path / "m.csv", "1,2\r\n3,x\r\n"))
+        assert (info.value.row, info.value.col) == (2, 2)
 
     def test_header_becomes_labels(self, tmp_path):
         spec = CsvMatrixSpec(path=str(tmp_path / "m.csv"), has_header=True)
@@ -90,6 +196,12 @@ class TestReadMaskedCsv:
         with pytest.raises(ParseError) as info:
             read_masked_csv(spec)
         assert info.value.row == 1 and info.value.col == 2
+        for token, col in [("NaN", 1), ("-Infinity", 3), ("1e400", 2)]:
+            cells = ["1", "2", "3"]
+            cells[col - 1] = token
+            spec = _write(tmp_path / "m.csv", "4,5,6\n" + ",".join(cells) + "\n")
+            with pytest.raises(ParseError, match=f"non-finite value '{token}' at row 2, column {col}"):
+                read_masked_csv(spec)
 
     def test_custom_tokens_and_delimiter(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -108,6 +220,56 @@ class TestReadMaskedCsv:
             CsvMatrixSpec(path=str(tmp_path / "m.csv"), delimiter=",,")
         with pytest.raises(BadParam):
             CsvMatrixSpec(path=str(tmp_path / "m.csv"), na_tokens=())
+
+    def test_parse_error_before_ragged_row_wins(self, tmp_path):
+        spec = _write(tmp_path / "m.csv", "1,zap\n3,4\n5\n")
+        with pytest.raises(ParseError) as info:
+            read_masked_csv(spec)
+        assert (info.value.row, info.value.col) == (1, 2)
+
+    def test_padded_na_token_is_missing(self, tmp_path):
+        m = read_masked_csv(_write(tmp_path / "m.csv", "1, NA \n\tNA,2\n"))
+        assert_array_equal(m.mask, [[True, False], [False, True]])
+
+    def test_quoted_cell_holding_the_delimiter_is_one_field(self, tmp_path):
+        m = read_masked_csv(_write(tmp_path / "m.csv", '"7",2\n3,4\n'))
+        assert m.values[0, 0] == 7.0
+        spec = _write(tmp_path / "m.csv", '1,"2,5"\n3,4\n')
+        with pytest.raises(ParseError, match="unreadable number '2,5' at row 1, column 2"):
+            read_masked_csv(spec)
+
+    def test_blank_line_in_the_middle_is_ragged(self, tmp_path):
+        spec = _write(tmp_path / "m.csv", "1,2\n\n3,4\n")
+        with pytest.raises(Ragged, match="row 2 has 0 fields, expected 2"):
+            read_masked_csv(spec)
+
+    def test_float_syntax_beyond_plain_decimals(self, tmp_path):
+        m = read_masked_csv(_write(tmp_path / "m.csv", "1_000,١٢,1e-320,-.5\n"))
+        assert m.values.tolist() == [[1000.0, 12.0, 1e-320, -0.5]]
+
+    def test_errors_in_later_blocks_name_their_row(self, tmp_path):
+        rows = [[repr(0.1 * (i + j)) for j in range(300)] for i in range(700)]
+        rows[650][299] = "zap"
+        spec = _write(tmp_path / "m.csv", "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(ParseError) as info:
+            read_masked_csv(spec)
+        assert (info.value.row, info.value.col) == (651, 300)
+        del rows[650][299]
+        spec = _write(tmp_path / "m.csv", "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(Ragged, match="row 651 has 299 fields"):
+            read_masked_csv(spec)
+
+    @settings(max_examples=300)
+    @given(case=_csv_cases(), block=st.sampled_from([1, 2, 5, dataio._BLOCK_CELLS]))
+    def test_matches_reference_reader(self, tmp_path_factory, case, block):
+        text, has_header, na_tokens, delimiter = case
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(text.encode())
+        spec = CsvMatrixSpec(path=str(path), has_header=has_header,
+                             na_tokens=na_tokens, delimiter=delimiter)
+        expected = _outcome(_reference_read_masked_csv, spec)
+        with mock.patch.object(dataio, "_BLOCK_CELLS", block):
+            assert _outcome(read_masked_csv, spec) == expected
 
 
 class TestWriteMaskedCsv:
