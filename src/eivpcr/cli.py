@@ -34,6 +34,7 @@ from .errors import BadParam, DegenerateSpectrum, EivPcrError, NoConverge
 from .pcr import PredictionConfig, fit, predict_detailed
 from .rank_selection import gap_ratios, select_rank_largest_gap
 from .simlab.experiments import (
+    _trial_blas_threads,
     run_experiment_identification,
     run_experiment_shift,
     run_experiment_subspace,
@@ -266,6 +267,7 @@ def cmd_experiment(args) -> int:
         "name": report.name,
         "trials": len(report.records),
         "threads": threads,
+        "blas_threads": _trial_blas_threads(),
         "out": str(out),
     })
     return 0

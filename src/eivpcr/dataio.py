@@ -65,6 +65,16 @@ def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     are missing; every other cell must parse as a finite float. Row and
     column positions in errors are 1-based and count data rows only.
     """
+    try:
+        labels, blocks = _read_blocks(spec)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{spec.path}: not valid {exc.encoding} text ({exc.reason})") from None
+    values, mask = (np.concatenate(parts) for parts in zip(*blocks))
+    return MaskedMatrix(values=values, mask=mask, col_labels=labels)
+
+
+def _read_blocks(spec: CsvMatrixSpec):
+    """Header labels (or None) and the parsed blocks of data rows."""
     with open(spec.path, newline="") as f:
         reader = csv.reader(f, delimiter=spec.delimiter)
         labels = None
@@ -86,8 +96,7 @@ def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
         blocks = []
         while rows := list(islice(reader, block_rows)):
             blocks.append(_parse_block(spec, rows, width, first_row=1 + len(blocks) * block_rows))
-    values, mask = (np.concatenate(parts) for parts in zip(*blocks))
-    return MaskedMatrix(values=values, mask=mask, col_labels=labels)
+    return labels, blocks
 
 
 def _parse_block(spec: CsvMatrixSpec, rows: list, width: int, first_row: int):
@@ -235,7 +244,7 @@ def read_model(path) -> PcrModel:
     with open(path) as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"{path}: expected a JSON object")

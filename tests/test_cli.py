@@ -1,9 +1,17 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eivpcr.cli import main
+from eivpcr.simlab import experiments
+
+_SRC = str(Path(experiments.__file__).resolve().parents[2])
 
 
 def run_cli(argv, capsys):
@@ -109,6 +117,21 @@ class TestFit:
         )
         assert code == 2
         assert error_of(stderr)["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("bad", ["z", "y"])
+    def test_undecodable_input_exits_two(self, tmp_path, identity_files, capsys, bad):
+        z, y = identity_files
+        paths = {"z": z, "y": y}
+        paths[bad] = tmp_path / "bad.csv"
+        paths[bad].write_bytes(b"1\n\xff\n")
+        code, stdout, stderr = run_cli(
+            ["fit", "--z", paths["z"], "--y", paths["y"], "--k", "1",
+             "--out", tmp_path / "m.json"], capsys
+        )
+        assert code == 2 and stdout == ""
+        err = error_of(stderr)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{paths[bad]}: not valid ")
 
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         code, stdout, stderr = run_cli([], capsys)
@@ -271,6 +294,7 @@ class TestExperiment:
         assert d1.pop("out") != d2.pop("out")
         assert d1 == d2
         assert d1["trials"] == 2 and d1["threads"] == 1
+        assert d1["blas_threads"] == (None if experiments._openblas() is None else 1)
         for name in ("trials.csv", "aggregates.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         doc = json.loads((tmp_path / "a" / "aggregates.json").read_text())
@@ -282,9 +306,37 @@ class TestExperiment:
         monkeypatch.setenv("EIV_PCR_THREADS", "2")
         _, out, _ = self._run(tmp_path, capsys, "shift", tmp_path / "par", extra=["--noise", "0.3"])
         assert diag_of(out)["threads"] == 2
+        assert diag_of(out)["blas_threads"] == (None if experiments._openblas() is None else 1)
         assert (tmp_path / "serial" / "trials.csv").read_bytes() == (
             tmp_path / "par" / "trials.csv"
         ).read_bytes()
+
+    def test_diagnostics_report_unpinned_blas(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        code, out, _ = self._run(tmp_path, capsys, "subspace", tmp_path / "x")
+        assert code == 0
+        assert diag_of(out)["blas_threads"] is None
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # on the process's own BLAS threading, p=128 with seed 0 differs in
+        # its last bits between the first two settings
+        if experiments._openblas() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        digests = []
+        for blas, workers in (("1", "1"), ("2", "0"), ("1", "0"), ("2", "1")):
+            out = tmp_path / f"blas{blas}_workers{workers}"
+            env = {**os.environ, "PYTHONPATH": _SRC,
+                   "OPENBLAS_NUM_THREADS": blas, "EIV_PCR_THREADS": workers}
+            subprocess.run(
+                [sys.executable, "-m", "eivpcr.cli", "experiment", "--name", "identification",
+                 "--p", "64", "--p", "128", "--seeds", "1", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            digests.append({
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("trials.csv", "aggregates.json")
+            })
+        assert all(d == digests[0] for d in digests)
 
     def test_bad_thread_env_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EIV_PCR_THREADS", "many")

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -271,6 +272,14 @@ class TestReadMaskedCsv:
         with mock.patch.object(dataio, "_BLOCK_CELLS", block):
             assert _outcome(read_masked_csv, spec) == expected
 
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid "):
+            read_masked_csv(CsvMatrixSpec(path=path))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid "):
+            read_response_csv(CsvMatrixSpec(path=path))
+
 
 class TestWriteMaskedCsv:
     def test_round_trip_is_exact_on_observed_cells(self, tmp_path):
@@ -421,6 +430,9 @@ class TestModelFiles:
             read_model(path)
         path.write_text("{not json")
         with pytest.raises(SchemaMismatch):
+            read_model(path)
+        path.write_bytes(b'{"k": \xff}')
+        with pytest.raises(SchemaMismatch, match="not valid JSON"):
             read_model(path)
 
     def test_corrupt_values(self, tmp_path):

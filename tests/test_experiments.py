@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -13,6 +19,7 @@ from eivpcr import (
 )
 from eivpcr.simlab import (
     Shift,
+    experiments,
     make_identification_trial,
     make_shift_trial,
     make_subspace_trial,
@@ -204,3 +211,117 @@ class TestSubspaceRunner:
     def test_bad_size(self):
         with pytest.raises(BadParam):
             run_experiment_subspace([0.2], [0], 10)
+
+
+@pytest.fixture
+def blas_count():
+    """Reader of the process's OpenBLAS thread count, set to 2 (never more)
+    for the test and put back afterwards."""
+    found = experiments._openblas()
+    if found is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, put = found
+    saved = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(saved)
+
+
+class TestSingleThreadedBlas:
+    def test_lookup_is_not_made_at_import(self):
+        code = (
+            "import eivpcr.cli\n"
+            "from eivpcr.simlab import experiments\n"
+            "print(experiments._openblas.cache_info().currsize)\n"
+        )
+        src = str(Path(experiments.__file__).resolve().parents[2])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "0"
+
+    def test_trials_see_one_thread_and_the_count_is_restored(self, blas_count):
+        before = blas_count()
+        for threads in (1, 2):
+            seen = experiments._run_trials(lambda i: blas_count(), [(i,) for i in range(4)], threads)
+            assert seen == [1, 1, 1, 1]
+            assert blas_count() == before
+        run_experiment_identification([27], [0], threads=0)
+        assert blas_count() == before
+
+    def test_count_is_restored_after_a_trial_raises(self, blas_count, monkeypatch):
+        before = blas_count()
+
+        def boom(*args):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(experiments, "make_identification_trial", boom)
+        for threads in (1, 2):
+            with pytest.raises(RuntimeError, match="trial failed"):
+                run_experiment_identification([27], [0], threads=threads)
+            assert blas_count() == before
+
+    def test_concurrent_runners_share_the_pin_and_restore(self, blas_count):
+        before = blas_count()
+        serial = run_experiment_identification([27], [0, 1])
+        # both runners are inside at once: each trial waits for the other
+        barrier = threading.Barrier(2, timeout=60)
+        inside, reports = {}, {}
+
+        def trial(name):
+            barrier.wait()
+            return blas_count()
+
+        def runner(name):
+            inside[name] = experiments._run_trials(trial, [(name,)], 1)
+            reports[name] = run_experiment_identification([27], [0, 1], threads=2)
+
+        workers = [threading.Thread(target=runner, args=(n,)) for n in "ab"]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+            assert not w.is_alive()
+        assert inside == {"a": [1], "b": [1]}
+        assert reports["a"].records == reports["b"].records == serial.records
+        assert blas_count() == before
+
+    def test_stress_more_runners_than_cores(self, blas_count):
+        # a lost update of the shared entry count would restore the count
+        # while another runner is still inside, and a trial would see it
+        before = blas_count()
+        seen = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def runner():
+                for _ in range(2000):
+                    seen.extend(experiments._run_trials(lambda i: blas_count(), [(0,), (1,)], 1))
+
+            workers = [threading.Thread(target=runner) for _ in range(16)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert seen == [1] * 64000
+        assert blas_count() == before
+
+    def test_runners_work_without_the_library(self, monkeypatch):
+        pinned = run_experiment_identification([27], [0, 1])
+        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        assert experiments._trial_blas_threads() is None
+        unpinned = run_experiment_identification([27], [0, 1], threads=2)
+        assert len(unpinned.records) == len(pinned.records) == 16
+        for a, b in zip(unpinned.records, pinned.records):
+            assert set(a) == _IDENT_KEYS
+            assert {k: a[k] for k in ("config", "p", "r", "n", "seed")} == {
+                k: b[k] for k in ("config", "p", "r", "n", "seed")
+            }
+            for k in ("snr", "rmse_beta_star", "rmse_beta_raw"):
+                assert a[k] == pytest.approx(b[k], rel=1e-9)
