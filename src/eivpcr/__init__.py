@@ -8,10 +8,8 @@ estimation as out-of-sample prediction on a donor panel.
 """
 from .core import (
     MaskedMatrix,
-    RescaledDesign,
     SvdFactors,
     estimate_rho,
-    projector_distance,
     rescale,
     spectral_norm,
     svd,
@@ -36,7 +34,7 @@ from .errors import (
     TargetMissingPre,
     UnknownUnit,
 )
-from .metrics import mean_squared_error, rmse, snr_report, snr_test_report
+from .metrics import mean_squared_error, rmse, snr_report
 from .pcr import (
     PcrModel,
     Prediction,
@@ -45,16 +43,13 @@ from .pcr import (
     check_subspace_inclusion,
     clamp,
     fit,
-    in_sample_residuals,
     predict,
     predict_detailed,
 )
 from .rank_selection import (
-    SpectrumReport,
     gap_ratios,
     select_rank_energy,
     select_rank_largest_gap,
-    spectrum_report,
 )
 from .synthetic_control import (
     CounterfactualResult,
@@ -85,10 +80,8 @@ __all__ = [
     "PredictionConfig",
     "Ragged",
     "RankOutOfRange",
-    "RescaledDesign",
     "SchemaMismatch",
     "ShapeMismatch",
-    "SpectrumReport",
     "SubspaceCheck",
     "SvdFactors",
     "TargetMissingPre",
@@ -100,19 +93,15 @@ __all__ = [
     "fit",
     "fit_rsc",
     "gap_ratios",
-    "in_sample_residuals",
     "mean_squared_error",
     "predict",
     "predict_detailed",
-    "projector_distance",
     "rescale",
     "rmse",
     "select_rank_energy",
     "select_rank_largest_gap",
     "snr_report",
-    "snr_test_report",
     "spectral_norm",
-    "spectrum_report",
     "svd",
     "truncate_rank",
     "__version__",

@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_fit(args) -> int:
     z = read_masked_csv(CsvMatrixSpec(path=args.z, has_header=args.has_header))
     y = read_response_csv(CsvMatrixSpec(path=args.y))
-    s = svd(rescale(z).rescaled).singular_values
+    s = svd(rescale(z)[0]).singular_values
     k = _auto_k(s, z.rows, z.cols) if args.k == "auto" else args.k
     model = fit(z, y, k)
     write_model(model, args.out)
@@ -211,8 +211,8 @@ def cmd_sc(args) -> int:
 
 def cmd_spectrum(args) -> int:
     z = read_masked_csv(CsvMatrixSpec(path=args.z, has_header=args.has_header))
-    design = rescale(z)
-    s = svd(design.rescaled).singular_values
+    rescaled, rho_hat = rescale(z)
+    s = svd(rescaled).singular_values
     ratios = gap_ratios(s)
     rows = [
         {
@@ -225,7 +225,7 @@ def cmd_spectrum(args) -> int:
     _write_table(rows, args.out, args.format)
     _emit({
         "command": "spectrum",
-        "rho_hat": design.rho_hat,
+        "rho_hat": rho_hat,
         "count": int(s.size),
         "suggested_k": _auto_k(s, z.rows, z.cols),
         "out": str(args.out),

@@ -5,7 +5,7 @@ every object in this module is safe to share across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .errors import (
     NoConverge,
     NonFinite,
     RankOutOfRange,
-    ShapeMismatch,
 )
 
 
@@ -106,21 +105,6 @@ class MaskedMatrix:
         return cls(values=values, mask=~np.isnan(values), col_labels=col_labels)
 
 
-@dataclass(frozen=True)
-class RescaledDesign:
-    """A masked matrix together with its observed fraction and rescaling.
-
-    ``rescaled`` is the zero-filled view divided elementwise by ``rho_hat``.
-    """
-
-    source: MaskedMatrix
-    rho_hat: float
-    rescaled: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rescaled", _frozen(self.rescaled))
-
-
 def estimate_rho(m: MaskedMatrix) -> float:
     """Fraction of observed cells, over the whole matrix.
 
@@ -134,10 +118,16 @@ def estimate_rho(m: MaskedMatrix) -> float:
     return observed / total
 
 
-def rescale(m: MaskedMatrix) -> RescaledDesign:
-    """Zero-fill the missing cells and divide by the observed fraction."""
+def rescale(m: MaskedMatrix) -> tuple[np.ndarray, float]:
+    """Zero-fill the missing cells and divide by the observed fraction.
+
+    Returns ``(rescaled, rho_hat)``: the read-only rescaled matrix and the
+    observed fraction from :func:`estimate_rho`.
+    """
     rho_hat = estimate_rho(m)
-    return RescaledDesign(source=m, rho_hat=rho_hat, rescaled=m.zero_filled() / rho_hat)
+    rescaled = m.zero_filled() / rho_hat
+    rescaled.flags.writeable = False
+    return rescaled, rho_hat
 
 
 @dataclass(frozen=True)
@@ -232,18 +222,3 @@ def spectral_norm(m) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def projector_distance(a, b) -> float:
-    """Spectral distance between the column spans of two orthonormal bases.
-
-    Computes ||a a^T - b b^T||_2 via an SVD of the difference. Inputs must
-    share a row count; columns are assumed orthonormal.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise BadShape("bases must be 2-dimensional")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    return spectral_norm(a @ a.T - b @ b.T)

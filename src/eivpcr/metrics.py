@@ -46,8 +46,3 @@ def snr_report(s_r: float, rho: float, n: int, p: int) -> float:
     if n < 1 or p < 1:
         raise BadParam("n and p must be positive")
     return rho * s_r / (math.sqrt(n) + math.sqrt(p))
-
-
-def snr_test_report(s_r_test: float, rho: float, m: int, p: int) -> float:
-    """Test-side analogue of :func:`snr_report` with m rows."""
-    return snr_report(s_r_test, rho, m, p)

@@ -156,8 +156,8 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
     k = int(k)
     if not 1 <= k <= min(z.rows, z.cols):
         raise RankOutOfRange(f"k={k} outside [1, {min(z.rows, z.cols)}]")
-    design = rescale(z)
-    factors = svd(design.rescaled)
+    rescaled, rho_hat = rescale(z)
+    factors = svd(rescaled)
     s = factors.singular_values
     if s[k - 1] <= _RELATIVE_SPECTRUM_FLOOR * s[0]:
         raise DegenerateSpectrum(
@@ -173,7 +173,7 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
     return PcrModel(
         beta_hat=beta_hat,
         k=k,
-        rho_hat=design.rho_hat,
+        rho_hat=rho_hat,
         singular_values=s[:k],
         retained=retained,
         n=z.rows,
@@ -202,8 +202,8 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
         raise RankOutOfRange(
             f"ell={cfg.ell} outside [1, {min(z_test.rows, z_test.cols)}]"
         )
-    design = rescale(z_test)
-    factors = svd(design.rescaled)
+    rescaled, rho_hat_prime = rescale(z_test)
+    factors = svd(rescaled)
     s = factors.singular_values
     positive = int(np.count_nonzero(s > _RELATIVE_SPECTRUM_FLOOR * s[0])) if s[0] > 0 else 0
     ell_eff = min(cfg.ell, positive)
@@ -221,7 +221,7 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
         clamped = np.abs(raw) > cfg.bound
     return Prediction(
         y_hat=y_hat,
-        rho_hat_prime=design.rho_hat,
+        rho_hat_prime=rho_hat_prime,
         ell=cfg.ell,
         ell_effective=ell_eff,
         clamped=clamped,
@@ -232,22 +232,6 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
 def predict(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfig) -> np.ndarray:
     """Test response estimates; see :func:`predict_detailed` for diagnostics."""
     return predict_detailed(model, z_test, cfg).y_hat
-
-
-def in_sample_residuals(model: PcrModel, z: MaskedMatrix, y) -> np.ndarray:
-    """y minus the rank-k fitted values on the (rescaled) train design."""
-    y = np.asarray(y, dtype=float).ravel()
-    if z.cols != model.p:
-        raise ShapeMismatch(f"design has {z.cols} columns, model has {model.p}")
-    if y.shape[0] != z.rows:
-        raise ShapeMismatch(f"{y.shape[0]} responses for {z.rows} rows")
-    if model.k > min(z.rows, z.cols):
-        raise RankOutOfRange(f"model k={model.k} exceeds min{z.rows, z.cols}")
-    factors = svd(rescale(z).rescaled)
-    u_k = factors.left_vectors[:, : model.k]
-    v_k = factors.right_vectors[:, : model.k]
-    fitted = u_k @ (factors.singular_values[: model.k] * (v_k.T @ model.beta_hat))
-    return y - fitted
 
 
 @dataclass(frozen=True)

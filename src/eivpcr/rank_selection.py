@@ -1,13 +1,9 @@
 """Heuristics for choosing the number of retained principal components."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AllZero, BadParam, EmptySpectrum
-
-_METHODS = ("known", "largest_gap", "energy_threshold")
 
 # relative regularizer keeping the gap ratio defined at an exact-rank boundary
 _GAP_EPS = 1e-12
@@ -45,6 +41,8 @@ def select_rank_largest_gap(s, k_max: int) -> int:
     return int(np.argmax(ratios)) + 1
 
 
+# public though no entry point calls it: the benchmark's tracer
+# (bench/spans.py) looks it up by name
 def select_rank_energy(s, fraction: float) -> int:
     """Smallest k whose leading squared singular values reach the fraction."""
     s = _as_spectrum(s)
@@ -53,50 +51,3 @@ def select_rank_energy(s, fraction: float) -> int:
         raise BadParam(f"fraction={fraction} outside (0, 1)")
     energy = np.cumsum(s**2)
     return int(np.argmax(energy >= fraction * energy[-1])) + 1
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """A spectrum, its consecutive gap ratios, and the chosen rank."""
-
-    singular_values: np.ndarray
-    gaps: np.ndarray
-    chosen_k: int
-    method: str
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise BadParam(f"method must be one of {_METHODS}")
-        if self.chosen_k < 1:
-            raise BadParam("chosen_k must be >= 1")
-        s = np.asarray(self.singular_values, dtype=float)
-        g = np.asarray(self.gaps, dtype=float)
-        if g.size != max(s.size - 1, 0):
-            raise BadParam("gaps length must be len(singular_values) - 1")
-        object.__setattr__(self, "singular_values", s)
-        object.__setattr__(self, "gaps", g)
-
-
-def spectrum_report(s, *, k=None, k_max=None, energy_fraction=None) -> SpectrumReport:
-    """Bundle a spectrum with a rank choice.
-
-    Exactly one selection route applies: a user-supplied ``k`` (method
-    "known"), an ``energy_fraction`` (method "energy_threshold"), or the
-    largest-gap search up to ``k_max`` (the default route).
-    """
-    s = _as_spectrum(s)
-    given = sum(x is not None for x in (k, energy_fraction))
-    if given > 1:
-        raise BadParam("pass at most one of k / energy_fraction")
-    if k is not None:
-        if not 1 <= int(k) <= s.size:
-            raise BadParam(f"k={k} outside [1, {s.size}]")
-        chosen, method = int(k), "known"
-    elif energy_fraction is not None:
-        chosen, method = select_rank_energy(s, energy_fraction), "energy_threshold"
-    else:
-        if k_max is None:
-            k_max = s.size - 1
-        chosen, method = select_rank_largest_gap(s, k_max), "largest_gap"
-    gaps = gap_ratios(s) if s.size > 1 else np.empty(0)
-    return SpectrumReport(singular_values=s, gaps=gaps, chosen_k=chosen, method=method)

@@ -1,4 +1,4 @@
-"""Synthetic data generators, evaluation metrics, and experiment drivers."""
+"""Synthetic data generators and experiment drivers."""
 from .experiments import (
     ExperimentReport,
     make_identification_trial,
@@ -9,7 +9,6 @@ from .experiments import (
     run_experiment_subspace,
 )
 from .generators import (
-    GeneratorSpec,
     PanelTrial,
     Shift,
     TrialData,
@@ -19,12 +18,10 @@ from .generators import (
     gen_prob_pca,
     gen_rowspan_violation,
 )
-from ..metrics import mean_squared_error, rmse, snr_report, snr_test_report
 from .streams import Role, child, substream
 
 __all__ = [
     "ExperimentReport",
-    "GeneratorSpec",
     "PanelTrial",
     "Role",
     "Shift",
@@ -38,12 +35,8 @@ __all__ = [
     "make_identification_trial",
     "make_shift_trial",
     "make_subspace_trial",
-    "mean_squared_error",
-    "rmse",
     "run_experiment_identification",
     "run_experiment_shift",
     "run_experiment_subspace",
-    "snr_report",
-    "snr_test_report",
     "substream",
 ]

@@ -25,8 +25,8 @@ import numpy as np
 from ..core import svd
 from ..errors import BadParam
 from ..pcr import PredictionConfig, check_subspace_inclusion, fit, predict
-from .generators import GeneratorSpec, Shift, TrialData, corrupt, gen_factor_uv, gen_prob_pca, gen_rowspan_violation
-from ..metrics import mean_squared_error, rmse, snr_report, snr_test_report
+from .generators import Shift, TrialData, corrupt, gen_factor_uv, gen_prob_pca, gen_rowspan_violation
+from ..metrics import mean_squared_error, rmse, snr_report
 from .streams import Role, child, substream
 
 # grid of n / (r^2 ln p) values swept by the identification experiment
@@ -157,6 +157,54 @@ def _resolve_threads(threads):
     return workers
 
 
+def _trial(x_train, x_tests, sigma2, r, trial):
+    """The train side of one trial, shared by all of its test designs.
+
+    Draws beta and the response noise from ``trial``'s streams, projects
+    beta onto the top-r right singular vectors of ``x_train`` (beta_star)
+    and corrupts the train design with noise variance ``sigma2``. Returns
+    one TrialData per matrix in ``x_tests``, all sharing the test-side
+    noise draw, or a bare TrialData when ``x_tests`` is None.
+    """
+    n, p = x_train.shape
+    sigma = math.sqrt(float(sigma2))
+    beta_raw = substream(trial, Role.MODEL).standard_normal(p)
+    eps = sigma * substream(trial, Role.RESPONSE_NOISE).standard_normal(n)
+    v_r = svd(x_train).right_vectors[:, :r]
+    train = dict(
+        x_train=x_train,
+        beta_raw=beta_raw,
+        beta_star=v_r @ (v_r.T @ beta_raw),
+        y=x_train @ beta_raw + eps,
+        z_train=corrupt(x_train, sigma, 1.0, child(trial, _CORRUPT_TRAIN)),
+    )
+    if x_tests is None:
+        return TrialData(**train)
+    return [
+        TrialData(
+            **train,
+            x_test=x_te,
+            z_test=corrupt(x_te, sigma, 1.0, child(trial, _CORRUPT_TEST)),
+            theta_test=x_te @ beta_raw,
+        )
+        for x_te in x_tests
+    ]
+
+
+def _run(name, keys, one, threads, sort_cols, group_cols, value_cols, extra=None) -> ExperimentReport:
+    """Run ``one(*key)`` for every key, sort the records by ``sort_cols``
+    and aggregate ``value_cols`` over the seeds of each ``group_cols`` group."""
+    # looked up by global name on every call, so a rebound _run_trials is used
+    records = _run_trials(one, keys, _resolve_threads(threads))
+    records = tuple(sorted(records, key=lambda rec: tuple(rec[c] for c in sort_cols)))
+    return ExperimentReport(name, records, _aggregate(records, group_cols, value_cols, extra))
+
+
+def _config(kind, n, m, p, r, sigma2) -> str:
+    """A record's configuration label, e.g. prob_pca/n30/m0/p27/r3/sig0.447214/rho1."""
+    return f"{kind}/n{n}/m{m}/p{p}/r{r}/sig{math.sqrt(sigma2):g}/rho1"
+
+
 def make_identification_trial(p: int, n: int, r: int, seed) -> TrialData:
     """Assemble one identification trial (no test set).
 
@@ -165,15 +213,7 @@ def make_identification_trial(p: int, n: int, r: int, seed) -> TrialData:
     both the responses and the covariates; nothing is masked.
     """
     trial = child(seed, p, n)
-    x = gen_prob_pca(n, p, r, trial)
-    beta_raw = substream(trial, Role.MODEL).standard_normal(p)
-    sigma = math.sqrt(IDENTIFICATION_SIGMA2)
-    eps = sigma * substream(trial, Role.RESPONSE_NOISE).standard_normal(n)
-    y = x @ beta_raw + eps
-    v_r = svd(x).right_vectors[:, :r]
-    beta_star = v_r @ (v_r.T @ beta_raw)
-    z = corrupt(x, sigma, 1.0, child(trial, _CORRUPT_TRAIN))
-    return TrialData(x_train=x, beta_raw=beta_raw, beta_star=beta_star, y=y, z_train=z)
+    return _trial(gen_prob_pca(n, p, r, trial), None, IDENTIFICATION_SIGMA2, r, trial)
 
 
 def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
@@ -187,28 +227,23 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
     ps = [int(p) for p in ps]
     if not ps or any(p < 8 for p in ps):
         raise BadParam("ps must be a nonempty list of dimensions >= 8")
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise BadParam("seeds must be nonempty")
+    seeds = _check_seeds(seeds)
 
+    # largest p and n first, so no worker is left alone with a large trial
+    # at the end; the records are sorted afterwards
     keys = []
-    for p in ps:
+    for p in sorted(ps, reverse=True):
         r = round(p ** (1.0 / 3.0))
-        for ratio in IDENTIFICATION_RATIOS:
+        for ratio in reversed(IDENTIFICATION_RATIOS):
             n = max(int(round(ratio * r * r * math.log(p))), r + 1)
-            for seed in seeds:
-                keys.append((p, r, n, seed))
+            keys.extend((p, r, n, seed) for seed in seeds)
 
     def one(p, r, n, seed):
         trial = make_identification_trial(p, n, r, seed)
         model = fit(trial.z_train, trial.y, k=r)
         s_r = svd(trial.x_train).singular_values[r - 1]
-        spec = GeneratorSpec(
-            kind="prob_pca", n=n, m=0, p=p, r=r,
-            noise_sigma=math.sqrt(IDENTIFICATION_SIGMA2), mask_rho=1.0, seed=seed,
-        )
         return {
-            "config": spec.label(),
+            "config": _config("prob_pca", n, 0, p, r, IDENTIFICATION_SIGMA2),
             "p": p,
             "r": r,
             "n": n,
@@ -220,12 +255,10 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
             "rmse_beta_raw": rmse(model.beta_hat, trial.beta_raw),
         }
 
-    records = _run_trials(one, keys, _resolve_threads(threads))
-    records = tuple(sorted(records, key=lambda rec: (rec["p"], rec["n"], rec["seed"])))
-    aggregates = _aggregate(
-        records, ("p", "r", "n", "rescaled_n"), ("rmse_beta_star", "rmse_beta_raw", "snr")
+    return _run(
+        "identification", keys, one, threads, ("p", "n", "seed"),
+        ("p", "r", "n", "rescaled_n"), ("rmse_beta_star", "rmse_beta_raw", "snr"),
     )
-    return ExperimentReport("identification", records, aggregates)
 
 
 def make_shift_trial(size: int, sigma2: float, seed, r: int = DEFAULT_FACTOR_RANK) -> dict:
@@ -234,32 +267,10 @@ def make_shift_trial(size: int, sigma2: float, seed, r: int = DEFAULT_FACTOR_RAN
     All four test designs share the train matrix, the right factors, and
     the test-side noise draw; only the test factor distribution changes.
     """
-    n = m = p = int(size)
-    sigma = math.sqrt(float(sigma2))
+    n = int(size)
     trial = child(seed, _sigma_key(sigma2), size)
-    beta_raw = substream(trial, Role.MODEL).standard_normal(p)
-    eps = sigma * substream(trial, Role.RESPONSE_NOISE).standard_normal(n)
-    out = {}
-    x_train = None
-    for shift in Shift:
-        x_tr, x_te = gen_factor_uv(n, m, p, trial, shift=shift, r=r)
-        if x_train is None:
-            x_train = x_tr
-            v_r = svd(x_train).right_vectors[:, :r]
-            beta_star = v_r @ (v_r.T @ beta_raw)
-            y = x_train @ beta_raw + eps
-            z_train = corrupt(x_train, sigma, 1.0, child(trial, _CORRUPT_TRAIN))
-        out[shift] = TrialData(
-            x_train=x_train,
-            beta_raw=beta_raw,
-            beta_star=beta_star,
-            y=y,
-            z_train=z_train,
-            x_test=x_te,
-            z_test=corrupt(x_te, sigma, 1.0, child(trial, _CORRUPT_TEST)),
-            theta_test=x_te @ beta_raw,
-        )
-    return out
+    pairs = [gen_factor_uv(n, n, n, trial, shift=shift, r=r) for shift in Shift]
+    return dict(zip(Shift, _trial(pairs[0][0], [x_te for _, x_te in pairs], sigma2, r, trial)))
 
 
 def run_experiment_shift(noise_grid, seeds, size, threads=None, r=DEFAULT_FACTOR_RANK) -> ExperimentReport:
@@ -268,50 +279,29 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None, r=DEFAULT_FACTOR
     Records one row per (noise variance, seed) holding the test MSE for
     every shift, scored against the true expected responses.
     """
-    size = int(size)
-    if size < 50:
-        raise BadParam(f"size={size} must be >= 50")
-    noise_grid = _check_noise_grid(noise_grid)
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise BadParam("seeds must be nonempty")
+    size, keys = _noise_sweep(noise_grid, seeds, size)
 
     def one(sigma2, seed):
         trials = make_shift_trial(size, sigma2, seed, r=r)
         base = trials[Shift.N1]
         model = fit(base.z_train, base.y, k=r)
-        spec = GeneratorSpec(
-            kind="factor_shift", n=size, m=size, p=size, r=r,
-            noise_sigma=math.sqrt(sigma2), mask_rho=1.0, seed=seed,
-        )
-        rec = {
-            "config": spec.label(),
-            "sigma2": sigma2,
-            "size": size,
-            "r": r,
-            "seed": seed,
-            "chosen_k": r,
-            "snr": snr_report(svd(base.x_train).singular_values[r - 1], 1.0, size, size),
-        }
+        rec = _noise_record("factor_shift", size, r, sigma2, seed, base.x_train)
         for shift, trial in trials.items():
             y_hat = predict(model, trial.z_test, PredictionConfig(ell=r))
             rec[f"mse_{shift.name}"] = mean_squared_error(y_hat, trial.theta_test)
-            rec[f"snr_test_{shift.name}"] = snr_test_report(
-                svd(trial.x_test).singular_values[r - 1], 1.0, size, size
-            )
+            rec[f"snr_test_{shift.name}"] = _snr(trial.x_test, r, size)
         return rec
 
-    keys = [(sigma2, seed) for sigma2 in noise_grid for seed in seeds]
-    records = _run_trials(one, keys, _resolve_threads(threads))
-    records = tuple(sorted(records, key=lambda rec: (rec["sigma2"], rec["seed"])))
     mse_cols = tuple(f"mse_{s.name}" for s in Shift)
 
     def ratio(agg):
         means = [agg[f"{c}_mean"] for c in mse_cols]
         return {"mse_max_over_min": max(means) / min(means) if min(means) > 0 else math.inf}
 
-    aggregates = _aggregate(records, ("sigma2", "size"), mse_cols + ("snr",), extra=ratio)
-    return ExperimentReport("shift", records, aggregates)
+    return _run(
+        "shift", keys, one, threads, ("sigma2", "seed"),
+        ("sigma2", "size"), mse_cols + ("snr",), extra=ratio,
+    )
 
 
 def make_subspace_trial(size: int, sigma2: float, seed, r: int = DEFAULT_FACTOR_RANK):
@@ -323,43 +313,16 @@ def make_subspace_trial(size: int, sigma2: float, seed, r: int = DEFAULT_FACTOR_
     -------
     (trial_ok, trial_bad)
     """
-    n = m = p = int(size)
-    sigma = math.sqrt(float(sigma2))
+    n = int(size)
     trial = child(seed, _sigma_key(sigma2), size)
-    x_train, x_ok, x_bad = gen_rowspan_violation(n, m, p, trial, r=r)
-    beta_raw = substream(trial, Role.MODEL).standard_normal(p)
-    eps = sigma * substream(trial, Role.RESPONSE_NOISE).standard_normal(n)
-    y = x_train @ beta_raw + eps
-    v_r = svd(x_train).right_vectors[:, :r]
-    beta_star = v_r @ (v_r.T @ beta_raw)
-    z_train = corrupt(x_train, sigma, 1.0, child(trial, _CORRUPT_TRAIN))
-    out = []
-    for x_te in (x_ok, x_bad):
-        out.append(
-            TrialData(
-                x_train=x_train,
-                beta_raw=beta_raw,
-                beta_star=beta_star,
-                y=y,
-                z_train=z_train,
-                x_test=x_te,
-                z_test=corrupt(x_te, sigma, 1.0, child(trial, _CORRUPT_TEST)),
-                theta_test=x_te @ beta_raw,
-            )
-        )
-    return tuple(out)
+    x_train, x_ok, x_bad = gen_rowspan_violation(n, n, n, trial, r=r)
+    return tuple(_trial(x_train, (x_ok, x_bad), sigma2, r, trial))
 
 
 def run_experiment_subspace(noise_grid, seeds, size, threads=None, r=DEFAULT_FACTOR_RANK) -> ExperimentReport:
     """Compare test MSE between a rowspace-preserving and a rowspace-
     violating test design, per noise level."""
-    size = int(size)
-    if size < 50:
-        raise BadParam(f"size={size} must be >= 50")
-    noise_grid = _check_noise_grid(noise_grid)
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise BadParam("seeds must be nonempty")
+    size, keys = _noise_sweep(noise_grid, seeds, size)
 
     def one(sigma2, seed):
         trial_ok, trial_bad = make_subspace_trial(size, sigma2, seed, r=r)
@@ -367,50 +330,65 @@ def run_experiment_subspace(noise_grid, seeds, size, threads=None, r=DEFAULT_FAC
         cfg = PredictionConfig(ell=r)
         mse_ok = mean_squared_error(predict(model, trial_ok.z_test, cfg), trial_ok.theta_test)
         mse_bad = mean_squared_error(predict(model, trial_bad.z_test, cfg), trial_bad.theta_test)
-        spec = GeneratorSpec(
-            kind="factor_rowspan_violation", n=size, m=size, p=size, r=r,
-            noise_sigma=math.sqrt(sigma2), mask_rho=1.0, seed=seed,
+        rec = _noise_record("factor_rowspan_violation", size, r, sigma2, seed, trial_ok.x_train)
+        rec.update(
+            mse_ok=mse_ok,
+            mse_bad=mse_bad,
+            mse_ratio=mse_bad / mse_ok if mse_ok > 0 else math.inf,
+            leakage_ok=check_subspace_inclusion(trial_ok.x_train, trial_ok.x_test, 1e-8).leakage,
+            leakage_bad=check_subspace_inclusion(trial_bad.x_train, trial_bad.x_test, 1e-8).leakage,
         )
-        return {
-            "config": spec.label(),
-            "sigma2": sigma2,
-            "size": size,
-            "r": r,
-            "seed": seed,
-            "chosen_k": r,
-            "snr": snr_report(svd(trial_ok.x_train).singular_values[r - 1], 1.0, size, size),
-            "mse_ok": mse_ok,
-            "mse_bad": mse_bad,
-            "mse_ratio": mse_bad / mse_ok if mse_ok > 0 else math.inf,
-            "leakage_ok": check_subspace_inclusion(trial_ok.x_train, trial_ok.x_test, 1e-8).leakage,
-            "leakage_bad": check_subspace_inclusion(trial_bad.x_train, trial_bad.x_test, 1e-8).leakage,
-        }
-
-    keys = [(sigma2, seed) for sigma2 in noise_grid for seed in seeds]
-    records = _run_trials(one, keys, _resolve_threads(threads))
-    records = tuple(sorted(records, key=lambda rec: (rec["sigma2"], rec["seed"])))
+        return rec
 
     def ratio(agg):
         if agg["mse_ok_mean"] > 0:
             return {"mse_ratio_of_means": agg["mse_bad_mean"] / agg["mse_ok_mean"]}
         return {"mse_ratio_of_means": math.inf}
 
-    aggregates = _aggregate(
-        records, ("sigma2", "size"), ("mse_ok", "mse_bad", "leakage_ok", "leakage_bad"),
-        extra=ratio,
+    return _run(
+        "subspace", keys, one, threads, ("sigma2", "seed"),
+        ("sigma2", "size"), ("mse_ok", "mse_bad", "leakage_ok", "leakage_bad"), extra=ratio,
     )
-    return ExperimentReport("subspace", records, aggregates)
 
 
-def _sigma_key(sigma2: float) -> int:
-    key = int(round(float(sigma2) * 1_000_000))
-    return key
+def _snr(x, r, size) -> float:
+    return snr_report(svd(x).singular_values[r - 1], 1.0, size, size)
 
 
-def _check_noise_grid(noise_grid):
+def _noise_record(kind, size, r, sigma2, seed, x_train) -> dict:
+    """The columns a shift or subspace record starts with."""
+    return {
+        "config": _config(kind, size, size, size, r, sigma2),
+        "sigma2": sigma2,
+        "size": size,
+        "r": r,
+        "seed": seed,
+        "chosen_k": r,
+        "snr": _snr(x_train, r, size),
+    }
+
+
+def _noise_sweep(noise_grid, seeds, size):
+    """Validated size and the (noise variance, seed) keys of a shift or
+    subspace sweep."""
+    size = int(size)
+    if size < 50:
+        raise BadParam(f"size={size} must be >= 50")
     grid = [float(v) for v in noise_grid]
     if not grid:
         raise BadParam("noise grid must be nonempty")
     if any(not math.isfinite(v) or v < 0 for v in grid):
         raise BadParam("noise variances must be finite and >= 0")
-    return grid
+    seeds = _check_seeds(seeds)
+    return size, [(sigma2, seed) for sigma2 in grid for seed in seeds]
+
+
+def _check_seeds(seeds):
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise BadParam("seeds must be nonempty")
+    return seeds
+
+
+def _sigma_key(sigma2: float) -> int:
+    return int(round(float(sigma2) * 1_000_000))

@@ -33,56 +33,6 @@ class Shift(IntEnum):
     U2 = 3
 
 
-_KINDS = (
-    "prob_pca",
-    "factor_uv",
-    "factor_shift",
-    "factor_rowspan_violation",
-    "panel_ife",
-)
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A fully determined generator configuration, usable as a config id."""
-
-    kind: str
-    n: int
-    m: int
-    p: int
-    r: int
-    noise_sigma: float
-    mask_rho: float
-    seed: int
-    shift: Shift | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise BadParam(f"kind must be one of {_KINDS}")
-        if min(self.n, self.p, self.r) < 1 or self.m < 0:
-            raise BadShape("n, p, r must be >= 1 and m >= 0")
-        if self.r > min(self.n, self.p):
-            raise BadShape(f"r={self.r} exceeds min(n, p)={min(self.n, self.p)}")
-        if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise BadParam(f"noise_sigma={self.noise_sigma} must be >= 0")
-        if not 0.0 < self.mask_rho <= 1.0:
-            raise BadParam(f"mask_rho={self.mask_rho} outside (0, 1]")
-
-    def label(self) -> str:
-        parts = [
-            self.kind,
-            f"n{self.n}",
-            f"m{self.m}",
-            f"p{self.p}",
-            f"r{self.r}",
-            f"sig{self.noise_sigma:g}",
-            f"rho{self.mask_rho:g}",
-        ]
-        if self.shift is not None:
-            parts.append(self.shift.name)
-        return "/".join(parts)
-
-
 @dataclass(frozen=True)
 class TrialData:
     """One assembled trial: latent matrices, model, responses, observations.

@@ -15,7 +15,7 @@ from .core import MaskedMatrix, truncate_rank, rescale, svd
 from .errors import BadParam, BadShape, TargetMissingPre
 from .pcr import PredictionConfig, check_subspace_inclusion, fit, predict_detailed
 from .rank_selection import select_rank_largest_gap
-from .metrics import mean_squared_error, snr_report, snr_test_report
+from .metrics import mean_squared_error, snr_report
 
 _LEAKAGE_TOL = 1e-8
 
@@ -133,7 +133,7 @@ def fit_rsc(panel: PanelDataset, k="auto", cfg: PredictionConfig | None = None) 
     if isinstance(k, str):
         if k != "auto":
             raise BadParam(f"k must be an integer or 'auto', got {k!r}")
-        spectrum = svd(rescale(z_pre).rescaled).singular_values
+        spectrum = svd(rescale(z_pre)[0]).singular_values
         k_max = min(panel.n, panel.p) - 1
         if k_max < 1:
             raise BadParam("panel too small for automatic rank selection")
@@ -152,7 +152,7 @@ def fit_rsc(panel: PanelDataset, k="auto", cfg: PredictionConfig | None = None) 
 
     s_test = pred.factors.singular_values
     if pred.ell_effective >= 1 and s_test[pred.ell_effective - 1] > 0:
-        snr_test = snr_test_report(
+        snr_test = snr_report(
             s_test[pred.ell_effective - 1], pred.rho_hat_prime, panel.m, panel.p
         )
     else:

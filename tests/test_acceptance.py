@@ -86,7 +86,7 @@ def test_estimator_matches_pseudoinverse_oracle(capsys):
         y = rng.standard_normal(n)
         k = int(rng.integers(1, min(n, p)))
         model = fit(z, y, k=k)
-        truncated = truncate_rank(svd(rescale(z).rescaled), k)
+        truncated = truncate_rank(svd(rescale(z)[0]), k)
         oracle = np.linalg.pinv(truncated) @ y
         rel = float(np.linalg.norm(model.beta_hat - oracle) / (1.0 + np.linalg.norm(oracle)))
         worst = max(worst, rel)

@@ -9,9 +9,7 @@ from eivpcr import (
     MaskedMatrix,
     NonFinite,
     RankOutOfRange,
-    ShapeMismatch,
     estimate_rho,
-    projector_distance,
     rescale,
     spectral_norm,
     svd,
@@ -113,31 +111,33 @@ class TestEstimateRho:
 class TestRescale:
     def test_fully_observed_is_identity(self):
         vals = _rng(1).normal(size=(4, 5))
-        d = rescale(MaskedMatrix.from_dense(vals))
-        assert d.rho_hat == 1.0
-        assert_array_equal(d.rescaled, vals)
+        rescaled, rho_hat = rescale(MaskedMatrix.from_dense(vals))
+        assert rho_hat == 1.0
+        assert_array_equal(rescaled, vals)
+        assert not rescaled.flags.writeable
 
     def test_half_observed_twos_become_fours(self):
         m = MaskedMatrix.from_dense(
             np.full((2, 2), 2.0), mask=[[True, False], [True, False]]
         )
-        d = rescale(m)
-        assert d.rho_hat == 0.5
-        assert_array_equal(d.rescaled, [[4.0, 0.0], [4.0, 0.0]])
+        rescaled, rho_hat = rescale(m)
+        assert rho_hat == 0.5
+        assert_array_equal(rescaled, [[4.0, 0.0], [4.0, 0.0]])
+        assert not rescaled.flags.writeable
 
     def test_elementwise_oracle(self):
         rng = _rng(7)
         vals = rng.normal(size=(10, 7))
         mask = rng.uniform(size=(10, 7)) < 0.6
         m = MaskedMatrix.from_dense(vals, mask=mask)
-        d = rescale(m)
+        rescaled, rho_hat = rescale(m)
         rho = np.count_nonzero(mask) / 70
         expected = np.empty((10, 7))
         for i in range(10):
             for j in range(7):
                 expected[i, j] = vals[i, j] / rho if mask[i, j] else 0.0
-        assert d.rho_hat == rho
-        assert_array_equal(d.rescaled, expected)
+        assert rho_hat == rho
+        assert_array_equal(rescaled, expected)
 
     def test_all_missing(self):
         m = MaskedMatrix.from_dense(
@@ -230,6 +230,12 @@ class TestSvd:
         with pytest.raises(BadShape):
             svd(np.ones(4))
 
+    def test_projector_idempotence(self):
+        for seed in range(5):
+            b = svd(_rng(seed).normal(size=(7, 3))).left_vectors
+            proj = b @ b.T
+            assert np.linalg.norm(proj @ proj - proj) <= 1e-9
+
 
 class TestTruncateRank:
     def test_exact_rank_2_recovery(self):
@@ -272,39 +278,6 @@ class TestTruncateRank:
             for _ in range(50):
                 cand = rng.normal(size=(rows, k)) @ rng.normal(size=(k, cols))
                 assert best <= np.linalg.norm(cand - m) + 1e-12
-
-
-class TestProjectorDistance:
-    def test_same_basis_is_zero(self):
-        b = svd(_rng(21).normal(size=(6, 3))).left_vectors
-        assert projector_distance(b, b) <= 1e-12
-
-    def test_orthogonal_lines(self):
-        e1 = np.array([[1.0], [0.0]])
-        e2 = np.array([[0.0], [1.0]])
-        assert_allclose(projector_distance(e1, e2), 1.0, rtol=1e-12)
-
-    def test_dense_eigen_oracle(self):
-        rng = _rng(22)
-        a = np.linalg.qr(rng.normal(size=(8, 3)))[0]
-        b = np.linalg.qr(rng.normal(size=(8, 3)))[0]
-        diff = a @ a.T - b @ b.T
-        oracle = np.abs(np.linalg.eigvalsh(diff)).max()
-        assert_allclose(projector_distance(a, b), oracle, rtol=1e-10, atol=1e-12)
-
-    def test_projector_idempotence(self):
-        for seed in range(5):
-            b = svd(_rng(seed).normal(size=(7, 3))).left_vectors
-            proj = b @ b.T
-            assert np.linalg.norm(proj @ proj - proj) <= 1e-9
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            projector_distance(np.eye(3), np.eye(4))
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(BadShape):
-            projector_distance(np.ones(3), np.eye(3))
 
 
 class TestSpectralNorm:

@@ -213,6 +213,58 @@ class TestSubspaceRunner:
             run_experiment_subspace([0.2], [0], 10)
 
 
+class TestConfigLabels:
+    # the exact label format: kind/n/m/p/r/sig (noise sd, %g)/rho1
+    def test_identification(self):
+        rec = run_experiment_identification([27], [0]).records[0]
+        assert rec["config"] == "prob_pca/n30/m0/p27/r3/sig0.447214/rho1"
+
+    def test_shift(self):
+        rec = run_experiment_shift([0.3], [0], 60).records[0]
+        assert rec["config"] == "factor_shift/n60/m60/p60/r10/sig0.547723/rho1"
+
+    def test_subspace(self):
+        rec = run_experiment_subspace([0.2], [0], 60).records[0]
+        assert rec["config"] == "factor_rowspan_violation/n60/m60/p60/r10/sig0.447214/rho1"
+
+
+class TestRunnerPath:
+    def test_runners_use_the_module_globals_and_submit_largest_first(self, monkeypatch):
+        # tracing rebinds these module attributes, so the runners must look
+        # them up by global name on every call
+        handed, made = [], []
+        real_run = experiments._run_trials
+
+        def recorder(trial_fn, keys, threads):
+            handed.append(list(keys))
+            return real_run(trial_fn, keys, threads)
+
+        monkeypatch.setattr(experiments, "_run_trials", recorder)
+        for name in ("make_identification_trial", "make_shift_trial", "make_subspace_trial"):
+            real = getattr(experiments, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                made.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counted)
+
+        ident = run_experiment_identification([27, 64], [0, 1])
+        run_experiment_shift([0.2], [0], 60)
+        run_experiment_subspace([0.2], [0], 60)
+        assert len(handed) == 3
+        assert made.count("make_identification_trial") == 32
+        assert made.count("make_shift_trial") == made.count("make_subspace_trial") == 1
+        # identification keys are (p, r, n, seed): largest (p, n) first,
+        # and the records still come out sorted
+        pn = [(p, n) for p, _, n, _ in handed[0]]
+        assert pn[0] == max(pn)
+        assert pn == sorted(pn, reverse=True)
+        assert [(r["p"], r["n"], r["seed"]) for r in ident.records] == sorted(
+            (p, n, seed) for p, _, n, seed in handed[0]
+        )
+
+
 @pytest.fixture
 def blas_count():
     """Reader of the process's OpenBLAS thread count, set to 2 (never more)

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from eivpcr import BadParam, BadShape, check_subspace_inclusion
 from eivpcr.simlab import (
-    GeneratorSpec,
     Role,
     Shift,
     child,
@@ -47,30 +46,6 @@ class TestStreams:
 
     def test_int_seed_equals_empty_child(self):
         assert_array_equal(gen_prob_pca(6, 8, 2, 5), gen_prob_pca(6, 8, 2, child(5)))
-
-
-class TestGeneratorSpec:
-    def test_label_round_trip(self):
-        spec = GeneratorSpec(
-            kind="factor_uv", n=10, m=20, p=30, r=5,
-            noise_sigma=0.5, mask_rho=0.9, seed=1, shift=Shift.U2,
-        )
-        assert spec.label() == "factor_uv/n10/m20/p30/r5/sig0.5/rho0.9/U2"
-
-    def test_bad_kind(self):
-        with pytest.raises(BadParam):
-            GeneratorSpec(kind="mystery", n=4, m=4, p=4, r=2,
-                          noise_sigma=0.1, mask_rho=1.0, seed=0)
-
-    def test_rank_exceeds_dims(self):
-        with pytest.raises(BadShape):
-            GeneratorSpec(kind="prob_pca", n=4, m=0, p=4, r=5,
-                          noise_sigma=0.1, mask_rho=1.0, seed=0)
-
-    def test_bad_rho(self):
-        with pytest.raises(BadParam):
-            GeneratorSpec(kind="prob_pca", n=4, m=0, p=4, r=2,
-                          noise_sigma=0.1, mask_rho=0.0, seed=0)
 
 
 class TestProbPca:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eivpcr import BadParam, ShapeMismatch, mean_squared_error, rmse, snr_report, snr_test_report
+from eivpcr import BadParam, ShapeMismatch, mean_squared_error, rmse, snr_report
 
 
 class TestMeanSquaredError:
@@ -45,9 +45,6 @@ class TestSnr:
 
     def test_formula(self):
         assert snr_report(7.0, 0.8, 9, 16) == pytest.approx(0.8 * 7.0 / 7.0, rel=1e-15)
-
-    def test_test_side_delegates(self):
-        assert snr_test_report(12.0, 0.9, 25, 36) == snr_report(12.0, 0.9, 25, 36)
 
     def test_bad_params(self):
         with pytest.raises(BadParam):

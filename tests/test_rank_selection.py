@@ -6,11 +6,9 @@ from eivpcr import (
     AllZero,
     BadParam,
     EmptySpectrum,
-    SpectrumReport,
     gap_ratios,
     select_rank_energy,
     select_rank_largest_gap,
-    spectrum_report,
     svd,
 )
 
@@ -88,41 +86,6 @@ class TestGapRatios:
         ratios = gap_ratios([1.0, 0.0])
         assert np.isfinite(ratios).all()
         assert ratios[0] == pytest.approx(1e12)
-
-
-class TestSpectrumReport:
-    def test_known_method(self):
-        rep = spectrum_report([4.0, 2.0, 1.0], k=2)
-        assert (rep.chosen_k, rep.method) == (2, "known")
-        assert rep.gaps.shape == (2,)
-
-    def test_default_is_largest_gap(self):
-        rep = spectrum_report([10.0, 9.5, 0.1, 0.09])
-        assert (rep.chosen_k, rep.method) == (2, "largest_gap")
-
-    def test_energy_method(self):
-        rep = spectrum_report([1.0, 0.0, 0.0], energy_fraction=0.9)
-        assert (rep.chosen_k, rep.method) == (1, "energy_threshold")
-
-    def test_conflicting_routes_rejected(self):
-        with pytest.raises(BadParam):
-            spectrum_report([2.0, 1.0], k=1, energy_fraction=0.5)
-
-    def test_invalid_report_fields(self):
-        with pytest.raises(BadParam):
-            SpectrumReport(
-                singular_values=np.array([2.0, 1.0]),
-                gaps=np.array([2.0]),
-                chosen_k=1,
-                method="guesswork",
-            )
-        with pytest.raises(BadParam):
-            SpectrumReport(
-                singular_values=np.array([2.0, 1.0]),
-                gaps=np.array([]),
-                chosen_k=1,
-                method="known",
-            )
 
 
 @st.composite
