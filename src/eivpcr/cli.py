@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import rescale, svd
+from .core import _singular_values, rescale
 from .dataio import (
     CsvMatrixSpec,
     json_default,
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_fit(args) -> int:
     z = read_masked_csv(CsvMatrixSpec(path=args.z, has_header=args.has_header))
     y = read_response_csv(CsvMatrixSpec(path=args.y))
-    s = svd(rescale(z)[0]).singular_values
+    s = _singular_values(rescale(z)[0])
     k = _auto_k(s, z.rows, z.cols) if args.k == "auto" else args.k
     model = fit(z, y, k)
     write_model(model, args.out)
@@ -212,7 +212,7 @@ def cmd_sc(args) -> int:
 def cmd_spectrum(args) -> int:
     z = read_masked_csv(CsvMatrixSpec(path=args.z, has_header=args.has_header))
     rescaled, rho_hat = rescale(z)
-    s = svd(rescaled).singular_values
+    s = _singular_values(rescaled)
     ratios = gap_ratios(s)
     rows = [
         {

@@ -214,11 +214,37 @@ def truncate_rank(f: SvdFactors, k: int) -> np.ndarray:
     return (f.left_vectors[:, :k] * f.singular_values[:k]) @ f.right_vectors[:, :k].T
 
 
+def _singular_values(m) -> np.ndarray:
+    """Singular values of a dense 2-D matrix, nonincreasing, without vectors.
+
+    One values-only LAPACK call: the cheap path for every caller that reads
+    the spectrum and would discard the vectors :func:`svd` computes. The
+    values agree with ``svd(m).singular_values`` to rounding, not bit for
+    bit (LAPACK takes a different route when it skips the vectors).
+
+    Raises
+    ------
+    BadShape
+        If ``m`` is not 2-dimensional.
+    NonFinite
+        If any entry is NaN or infinite.
+    NoConverge
+        If the iteration fails.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise BadShape("singular values need a 2-dimensional matrix")
+    if not np.all(np.isfinite(m)):
+        raise NonFinite("matrix entries must be finite")
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConverge(str(exc)) from exc
+
+
 def spectral_norm(m) -> float:
     """Largest singular value; 0.0 for an empty matrix."""
     m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix entries must be finite")
     if m.size == 0:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(_singular_values(m)[0])

@@ -22,7 +22,7 @@ from statistics import fmean, pstdev
 
 import numpy as np
 
-from ..core import svd
+from ..core import _singular_values, svd
 from ..errors import BadParam
 from ..pcr import PredictionConfig, check_subspace_inclusion, fit, predict
 from .generators import Shift, TrialData, corrupt, gen_factor_uv, gen_prob_pca, gen_rowspan_violation
@@ -241,7 +241,7 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
     def one(p, r, n, seed):
         trial = make_identification_trial(p, n, r, seed)
         model = fit(trial.z_train, trial.y, k=r)
-        s_r = svd(trial.x_train).singular_values[r - 1]
+        s_r = _singular_values(trial.x_train)[r - 1]
         return {
             "config": _config("prob_pca", n, 0, p, r, IDENTIFICATION_SIGMA2),
             "p": p,
@@ -352,7 +352,7 @@ def run_experiment_subspace(noise_grid, seeds, size, threads=None, r=DEFAULT_FAC
 
 
 def _snr(x, r, size) -> float:
-    return snr_report(svd(x).singular_values[r - 1], 1.0, size, size)
+    return snr_report(_singular_values(x)[r - 1], 1.0, size, size)
 
 
 def _noise_record(kind, size, r, sigma2, seed, x_train) -> dict:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MaskedMatrix, truncate_rank, rescale, svd
+from .core import MaskedMatrix, _singular_values, rescale
 from .errors import BadParam, BadShape, TargetMissingPre
 from .pcr import PredictionConfig, check_subspace_inclusion, fit, predict_detailed
 from .rank_selection import select_rank_largest_gap
@@ -121,11 +121,25 @@ def fit_rsc(panel: PanelDataset, k="auto", cfg: PredictionConfig | None = None) 
     panel : PanelDataset
     k : int or "auto"
         Retained rank for the donor pre block; "auto" picks the largest
-        spectral gap searched over [1, min(n, p) - 1].
+        spectral gap, searched over [1, min(n, p) - 1], of the rescaled
+        block's singular values (computed without vectors).
     cfg : PredictionConfig, optional
         Test-side options. When omitted, the truncation rank defaults to
-        the train-side k (a conservative upper bound for the unobservable
-        post-period rank) and no clamping is applied.
+        min(k, m): the train-side k (a conservative upper bound for the
+        unobservable post-period rank), cut to the m post periods so that
+        panels with fewer post periods than k, one included, still
+        predict. No clamping is applied. A given ``cfg.ell`` above
+        min(m, p) raises RankOutOfRange.
+
+    Notes
+    -----
+    ``diagnostics["subspace_leakage"]`` is :func:`check_subspace_inclusion`
+    run on the row factors ``S_k V_k^T`` (k x p) of the retained train
+    factors and ``S_l V_l^T`` (l x p, l = ``ell_effective``) of the
+    denoised post block. They share singular values and right vectors with
+    the rank-k and rank-l reconstructions ``U S V^T``, so the statistic is
+    that of the reconstructions up to rounding, at a fraction of the cost.
+    It is 0.0 when ``ell_effective`` is 0.
     """
     z_pre = panel.donors_pre()
     z_post = panel.donors_post()
@@ -133,35 +147,36 @@ def fit_rsc(panel: PanelDataset, k="auto", cfg: PredictionConfig | None = None) 
     if isinstance(k, str):
         if k != "auto":
             raise BadParam(f"k must be an integer or 'auto', got {k!r}")
-        spectrum = svd(rescale(z_pre)[0]).singular_values
+        spectrum = _singular_values(rescale(z_pre)[0])
         k_max = min(panel.n, panel.p) - 1
         if k_max < 1:
             raise BadParam("panel too small for automatic rank selection")
         k = select_rank_largest_gap(spectrum, k_max=k_max)
     model = fit(z_pre, y, int(k))
     if cfg is None:
-        cfg = PredictionConfig(ell=model.k)
+        cfg = PredictionConfig(ell=min(model.k, panel.m))
     pred = predict_detailed(model, z_post, cfg)
 
-    denoised_pre = truncate_rank(model.retained, model.k)
-    if pred.ell_effective >= 1:
-        denoised_post = truncate_rank(pred.factors, pred.ell_effective)
-    else:
-        denoised_post = np.zeros((panel.m, panel.p))
-    leakage = check_subspace_inclusion(denoised_pre, denoised_post, _LEAKAGE_TOL).leakage
-
     s_test = pred.factors.singular_values
-    if pred.ell_effective >= 1 and s_test[pred.ell_effective - 1] > 0:
-        snr_test = snr_report(
-            s_test[pred.ell_effective - 1], pred.rho_hat_prime, panel.m, panel.p
-        )
+    ell = pred.ell_effective
+    # row factors S V^T: the spectra and rowspaces of the rank-k and rank-ell
+    # reconstructions U S V^T in k and ell rows instead of n and m
+    kept = model.retained
+    leakage = check_subspace_inclusion(
+        kept.singular_values[:, None] * kept.right_vectors.T,
+        s_test[:ell, None] * pred.factors.right_vectors[:, :ell].T,
+        _LEAKAGE_TOL,
+    ).leakage
+
+    if ell >= 1 and s_test[ell - 1] > 0:
+        snr_test = snr_report(s_test[ell - 1], pred.rho_hat_prime, panel.m, panel.p)
     else:
         snr_test = 0.0
     diagnostics = {
         "rho_hat": model.rho_hat,
         "rho_hat_prime": pred.rho_hat_prime,
         "k": model.k,
-        "ell_effective": pred.ell_effective,
+        "ell_effective": ell,
         "snr": snr_report(model.singular_values[-1], model.rho_hat, panel.n, panel.p),
         "snr_test": snr_test,
         "subspace_leakage": leakage,

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eivpcr.cli import main
+from eivpcr import MaskedMatrix, rescale, svd
+from eivpcr.cli import _auto_k, main
 from eivpcr.simlab import experiments
 
 _SRC = str(Path(experiments.__file__).resolve().parents[2])
@@ -251,6 +252,44 @@ class TestSc:
         assert code == 2
         assert error_of(stderr)["error"] == "UnknownUnit"
 
+    def test_one_post_period(self, tmp_path, capsys):
+        # 9 rows, 8 pre periods: ell defaults to min(k, 1) instead of failing
+        rng = np.random.default_rng(7)
+        donors = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 4))
+        table = np.column_stack([donors @ rng.standard_normal(4), donors])
+        table[8, 0] = np.nan
+        panel = write_csv(tmp_path / "panel.csv", table, ["target", "d1", "d2", "d3", "d4"])
+        out = tmp_path / "traj.csv"
+        code, stdout, stderr = run_cli(
+            ["sc", "--panel", panel, "--target", "target", "--pre", "8", "--k", "2",
+             "--out", out], capsys
+        )
+        assert code == 0 and stderr == ""
+        diag = diag_of(stdout)
+        assert diag["k"] == 2 and diag["ell_effective"] == 1
+        header, row = out.read_text().splitlines()
+        assert header == "time,estimate" and row.split(",")[0] == "8"
+        assert np.isfinite(float(row.split(",")[1]))
+
+    def test_svd_failure_in_inclusion_check_exits_three(self, tmp_path, capsys, monkeypatch):
+        # with k given, the first values-only SVD is the inclusion check's
+        # spectral norm; LAPACK's error must surface as NoConverge, exit 3
+        real = np.linalg.svd
+
+        def values_fail(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                return real(a, *args, **kwargs)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", values_fail)
+        panel, _ = _panel_files(tmp_path)
+        code, stdout, stderr = run_cli(
+            ["sc", "--panel", panel, "--target", "target", "--pre", "6", "--k", "2",
+             "--out", tmp_path / "t.csv"], capsys
+        )
+        assert code == 3 and stdout == ""
+        assert error_of(stderr)["error"] == "NoConverge"
+
 
 class TestSpectrum:
     def test_diagonal_spectrum_table(self, tmp_path, capsys):
@@ -277,6 +316,56 @@ class TestSpectrum:
         assert code == 0
         rows = json.loads(out.read_text())
         assert rows[-1]["gap_ratio"] is None
+
+    def test_values_match_the_full_svd(self, tmp_path, capsys):
+        # the table comes from a values-only SVD; it agrees with the
+        # vectors-computing SVD to rounding
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((200, 6)) @ rng.standard_normal((6, 50))
+        x += 0.5 * rng.standard_normal(x.shape)
+        x[rng.random(x.shape) < 0.2] = np.nan
+        z = write_csv(tmp_path / "z.csv", x)
+        out = tmp_path / "spec.csv"
+        code, _, _ = run_cli(["spectrum", "--z", z, "--out", out], capsys)
+        assert code == 0
+        got = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+        full = svd(rescale(MaskedMatrix.from_values_with_nan(x))[0]).singular_values
+        assert got.shape == full.shape
+        assert np.max(np.abs(got - full)) <= 1e-14 * full[0]
+
+    def test_svd_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        z = write_csv(tmp_path / "z.csv", np.eye(3))
+        code, _, stderr = run_cli(["spectrum", "--z", z, "--out", tmp_path / "s.csv"], capsys)
+        assert code == 3
+        assert error_of(stderr)["error"] == "NoConverge"
+
+
+def _fixture_designs():
+    """The designs the fit and spectrum tests above run on."""
+    rng = np.random.default_rng(0)
+    factor = rng.standard_normal((100, 10)) @ rng.standard_normal((10, 100))
+    factor += np.sqrt(0.2) * rng.standard_normal((100, 100))
+    return {"identity": np.eye(3), "diagonal": np.diag([3.0, 2.0, 1.0]), "factor": factor}
+
+
+@pytest.mark.parametrize("name", sorted(_fixture_designs()))
+def test_auto_rank_unchanged_by_values_only_spectrum(tmp_path, capsys, name):
+    # fit --k auto and spectrum's suggested_k pick the rank the full SVD's
+    # spectrum gives
+    x = _fixture_designs()[name]
+    z = write_csv(tmp_path / "z.csv", x)
+    y = write_csv(tmp_path / "y.csv", np.ones((x.shape[0], 1)))
+    want = _auto_k(svd(x).singular_values, *x.shape)
+    code, stdout, _ = run_cli(
+        ["fit", "--z", z, "--y", y, "--k", "auto", "--out", tmp_path / "m.json"], capsys
+    )
+    assert code == 0 and diag_of(stdout)["k"] == want
+    code, stdout, _ = run_cli(["spectrum", "--z", z, "--out", tmp_path / "s.csv"], capsys)
+    assert code == 0 and diag_of(stdout)["suggested_k"] == want
 
 
 class TestExperiment:

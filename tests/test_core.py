@@ -7,6 +7,7 @@ from eivpcr import (
     AllMissing,
     BadShape,
     MaskedMatrix,
+    NoConverge,
     NonFinite,
     RankOutOfRange,
     estimate_rho,
@@ -15,7 +16,7 @@ from eivpcr import (
     svd,
     truncate_rank,
 )
-from eivpcr.core import _apply_sign_convention
+from eivpcr.core import _apply_sign_convention, _singular_values
 
 # Philox(12345) uniforms < 0.8 on 1000x1000; counted once with
 # np.count_nonzero and frozen
@@ -295,6 +296,52 @@ class TestSpectralNorm:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
             spectral_norm(np.array([[np.inf, 0.0]]))
+
+    def test_non_2d_rejected(self):
+        with pytest.raises(BadShape):
+            spectral_norm(np.ones(3))
+
+    def test_lapack_failure_is_no_converge(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NoConverge):
+            spectral_norm(np.eye(2))
+
+
+class TestSingularValues:
+    def test_matches_full_svd(self):
+        # tall, wide and square, with and without zero-filled missing cells
+        rng = _rng(41)
+        for shape in ((200, 50), (50, 200), (60, 60)):
+            m = rng.normal(size=shape)
+            m[rng.random(shape) < 0.2] = 0.0
+            full = svd(m).singular_values
+            s = _singular_values(m)
+            assert s.shape == full.shape
+            assert np.all(np.diff(s) <= 0)
+            assert np.max(np.abs(s - full)) <= 1e-14 * full[0]
+
+    def test_bad_input(self):
+        with pytest.raises(BadShape):
+            _singular_values(np.ones(3))
+        with pytest.raises(BadShape):
+            _singular_values(np.ones((2, 2, 2)))
+        with pytest.raises(NonFinite):
+            _singular_values(np.array([[np.nan, 1.0]]))
+
+    def test_lapack_failure_is_no_converge(self, monkeypatch):
+        calls = []
+
+        def fail(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NoConverge):
+            _singular_values(np.eye(3))
+        assert calls == [False]
 
 
 @given(

@@ -7,10 +7,16 @@ from eivpcr import (
     BadShape,
     MaskedMatrix,
     PanelDataset,
+    PredictionConfig,
+    RankOutOfRange,
     TargetMissingPre,
+    check_subspace_inclusion,
     counterfactual_error,
+    fit,
     fit_rsc,
     mean_squared_error,
+    predict_detailed,
+    truncate_rank,
 )
 from eivpcr.simlab import gen_panel_ife
 
@@ -180,6 +186,85 @@ class TestFitRsc:
         result = fit_rsc(panel2, k=2)
         assert result.diagnostics["rho_hat_prime"] < 1.0
         assert result.trajectory.shape == (3,)
+
+
+def _noisy_masked_panel(seed=3, pre=40, post=15, donors=30, rank=3):
+    """Noisy factor panel with about 10% of the donor cells missing."""
+    rng = np.random.default_rng(seed)
+    latent = rng.normal(size=(pre + post, rank)) @ rng.normal(size=(rank, donors))
+    values = np.column_stack([latent @ rng.normal(size=donors), latent])
+    values += 0.3 * rng.normal(size=values.shape)
+    mask = np.ones(values.shape, dtype=bool)
+    mask[:, 1:] = rng.random((pre + post, donors)) >= 0.1
+    return PanelDataset(
+        outcomes=MaskedMatrix.from_dense(values, mask=mask), target_col=0, pre_periods=pre
+    )
+
+
+class TestShortPostWindow:
+    def test_one_post_period(self):
+        # default ell = min(k, m): a single post period no longer fails
+        panel = _noisy_masked_panel(post=1)
+        result = fit_rsc(panel, k=3)
+        assert result.trajectory.shape == (1,)
+        assert np.isfinite(result.trajectory).all()
+        assert result.diagnostics["k"] == 3
+        assert result.diagnostics["ell_effective"] == 1
+
+    def test_fewer_post_periods_than_k(self):
+        panel = _noisy_masked_panel(post=2)
+        result = fit_rsc(panel, k=5)
+        assert result.diagnostics["ell_effective"] == 2
+        want = predict_detailed(
+            fit(panel.donors_pre(), panel.target_pre(), 5),
+            panel.donors_post(),
+            PredictionConfig(ell=2),
+        )
+        assert_array_equal(result.trajectory, want.y_hat)
+
+    def test_explicit_ell_above_post_periods_still_raises(self):
+        panel = _noisy_masked_panel(post=2)
+        with pytest.raises(RankOutOfRange):
+            fit_rsc(panel, k=3, cfg=PredictionConfig(ell=3))
+
+    def test_default_ell_is_k_when_post_periods_allow(self):
+        panel = _noisy_masked_panel()
+        r1 = fit_rsc(panel, k=3)
+        r2 = fit_rsc(panel, k=3, cfg=PredictionConfig(ell=3))
+        assert_array_equal(r1.trajectory, r2.trajectory)
+        assert r1.diagnostics == r2.diagnostics
+
+
+class TestLeakageOnRowFactors:
+    def test_equals_check_on_reconstructions(self):
+        # U S V^T and S V^T share their spectrum and right vectors, so the
+        # statistic on the k x p row factors is the one on the full blocks
+        for seed, k in ((3, 3), (4, 2), (5, 6)):
+            panel = _noisy_masked_panel(seed=seed)
+            result = fit_rsc(panel, k=k)
+            model = fit(panel.donors_pre(), panel.target_pre(), k)
+            pred = predict_detailed(model, panel.donors_post(), PredictionConfig(ell=k))
+            want = check_subspace_inclusion(
+                truncate_rank(model.retained, k),
+                truncate_rank(pred.factors, pred.ell_effective),
+                1e-8,
+            ).leakage
+            got = result.diagnostics["subspace_leakage"]
+            assert want > 1e-3  # noise leaks: the comparison is not 0 vs 0
+            assert_allclose(got, want, rtol=1e-12)
+
+    def test_zero_post_block_gives_zero(self):
+        # every post donor cell observed as 0: nothing to denoise, ell_eff = 0
+        panel, *_ = _exact_panel()
+        values = panel.outcomes.values.copy()
+        values[6:, 1:] = 0.0
+        zeroed = PanelDataset(
+            outcomes=MaskedMatrix.from_dense(values), target_col=0, pre_periods=6
+        )
+        diag = fit_rsc(zeroed, k=2).diagnostics
+        assert diag["ell_effective"] == 0
+        assert diag["subspace_leakage"] == 0.0
+        assert diag["snr_test"] == 0.0
 
 
 class TestCounterfactualError:
