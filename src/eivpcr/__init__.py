@@ -39,7 +39,6 @@ from .pcr import (
     PcrModel,
     Prediction,
     PredictionConfig,
-    SubspaceCheck,
     check_subspace_inclusion,
     clamp,
     fit,
@@ -82,7 +81,6 @@ __all__ = [
     "RankOutOfRange",
     "SchemaMismatch",
     "ShapeMismatch",
-    "SubspaceCheck",
     "SvdFactors",
     "TargetMissingPre",
     "UnknownUnit",

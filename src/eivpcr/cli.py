@@ -194,12 +194,9 @@ def cmd_sc(args) -> int:
     spec = CsvMatrixSpec(path=args.panel, has_header=not args.no_header)
     panel = read_panel_csv(spec, args.target, args.pre)
     result = fit_rsc(panel, k=args.k)
-    if panel.time_labels is not None:
-        times = list(panel.time_labels[panel.pre_periods:])
-    else:
-        times = list(range(panel.pre_periods, panel.outcomes.rows))
     rows = [
-        {"time": t, "estimate": float(v)} for t, v in zip(times, result.trajectory)
+        {"time": t, "estimate": float(v)}
+        for t, v in enumerate(result.trajectory, start=panel.pre_periods)
     ]
     _write_table(rows, args.out, args.format)
     diag = {"command": "sc", "target": str(args.target)}
@@ -236,7 +233,8 @@ def cmd_spectrum(args) -> int:
 def cmd_experiment(args) -> int:
     threads = _threads_from_env()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise BadParam(f"--out {out} exists and is not a directory")
     if args.name == "identification":
         if args.size is not None:
             raise BadParam("identification sweeps its own sample sizes; --size is not applicable")
@@ -257,6 +255,8 @@ def cmd_experiment(args) -> int:
             noise = args.noise or list(DEFAULT_SUBSPACE_NOISE)
             seeds = _seed_range(args.seed, args.seeds, DEFAULT_SUBSPACE_SEEDS)
             report = run_experiment_subspace(noise, seeds, size, threads=threads)
+    # created only once the report exists, so a rejected run leaves nothing
+    out.mkdir(parents=True, exist_ok=True)
     write_records_csv(report.records, out / "trials.csv")
     write_json(
         {"name": report.name, "aggregates": list(report.aggregates)},
@@ -310,6 +310,8 @@ def _seed_range(master: int, count, default: int) -> list:
     n = default if count is None else int(count)
     if n < 1:
         raise BadParam(f"--seeds {n} must be >= 1")
+    if master < 0:
+        raise BadParam(f"--seed {master} must be >= 0")
     return list(range(int(master), int(master) + n))
 
 

@@ -98,12 +98,6 @@ class MaskedMatrix:
             mask = np.ones(values.shape, dtype=bool)
         return cls(values=values, mask=mask, col_labels=col_labels)
 
-    @classmethod
-    def from_values_with_nan(cls, values, col_labels=None) -> "MaskedMatrix":
-        """Build from a dense array where NaN marks the missing cells."""
-        values = np.asarray(values, dtype=float)
-        return cls(values=values, mask=~np.isnan(values), col_labels=col_labels)
-
 
 def estimate_rho(m: MaskedMatrix) -> float:
     """Fraction of observed cells, over the whole matrix.

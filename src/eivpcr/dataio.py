@@ -190,7 +190,6 @@ def read_panel_csv(spec: CsvMatrixSpec, target, pre_periods: int) -> PanelDatase
         outcomes=outcomes,
         target_col=idx,
         pre_periods=pre,
-        unit_labels=outcomes.col_labels,
     )
 
 
@@ -211,8 +210,8 @@ def _resolve_unit(target, labels, cols: int) -> int:
 
 
 def write_model(model: PcrModel, path) -> None:
-    """Persist the fields that define predictions; diagnostics-only state
-    (retained factors, train row count) is not serialized."""
+    """Persist the fields that define predictions; the retained factors,
+    which only diagnostics read, are not serialized."""
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "k": model.k,

@@ -33,6 +33,8 @@ from .streams import Role, child, substream
 IDENTIFICATION_RATIOS = tuple(float(t) for t in np.geomspace(1.0, 40.0, 8))
 
 IDENTIFICATION_SIGMA2 = 0.2
+# factor rank of every shift and subspace trial, fitted and predicted at
+# this rank too
 DEFAULT_FACTOR_RANK = 10
 
 # sub-keys distinguishing the corruption streams of one trial
@@ -227,6 +229,7 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
     ps = [int(p) for p in ps]
     if not ps or any(p < 8 for p in ps):
         raise BadParam("ps must be a nonempty list of dimensions >= 8")
+    _check_distinct("dimension", ps)
     seeds = _check_seeds(seeds)
 
     # largest p and n first, so no worker is left alone with a large trial
@@ -261,28 +264,29 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
     )
 
 
-def make_shift_trial(size: int, sigma2: float, seed, r: int = DEFAULT_FACTOR_RANK) -> dict:
+def make_shift_trial(size: int, sigma2: float, seed) -> dict:
     """Assemble one covariate-shift trial: a TrialData per shift.
 
     All four test designs share the train matrix, the right factors, and
     the test-side noise draw; only the test factor distribution changes.
     """
-    n = int(size)
+    n, r = int(size), DEFAULT_FACTOR_RANK
     trial = child(seed, _sigma_key(sigma2), size)
     pairs = [gen_factor_uv(n, n, n, trial, shift=shift, r=r) for shift in Shift]
     return dict(zip(Shift, _trial(pairs[0][0], [x_te for _, x_te in pairs], sigma2, r, trial)))
 
 
-def run_experiment_shift(noise_grid, seeds, size, threads=None, r=DEFAULT_FACTOR_RANK) -> ExperimentReport:
+def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentReport:
     """Fit once per trial and predict on four shifted test designs.
 
     Records one row per (noise variance, seed) holding the test MSE for
     every shift, scored against the true expected responses.
     """
     size, keys = _noise_sweep(noise_grid, seeds, size)
+    r = DEFAULT_FACTOR_RANK
 
     def one(sigma2, seed):
-        trials = make_shift_trial(size, sigma2, seed, r=r)
+        trials = make_shift_trial(size, sigma2, seed)
         base = trials[Shift.N1]
         model = fit(base.z_train, base.y, k=r)
         rec = _noise_record("factor_shift", size, r, sigma2, seed, base.x_train)
@@ -304,7 +308,7 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None, r=DEFAULT_FACTOR
     )
 
 
-def make_subspace_trial(size: int, sigma2: float, seed, r: int = DEFAULT_FACTOR_RANK):
+def make_subspace_trial(size: int, sigma2: float, seed):
     """Assemble the inclusion-preserving and inclusion-violating trials.
 
     Both test designs share the train matrix and the test-side noise draw.
@@ -313,19 +317,20 @@ def make_subspace_trial(size: int, sigma2: float, seed, r: int = DEFAULT_FACTOR_
     -------
     (trial_ok, trial_bad)
     """
-    n = int(size)
+    n, r = int(size), DEFAULT_FACTOR_RANK
     trial = child(seed, _sigma_key(sigma2), size)
     x_train, x_ok, x_bad = gen_rowspan_violation(n, n, n, trial, r=r)
     return tuple(_trial(x_train, (x_ok, x_bad), sigma2, r, trial))
 
 
-def run_experiment_subspace(noise_grid, seeds, size, threads=None, r=DEFAULT_FACTOR_RANK) -> ExperimentReport:
+def run_experiment_subspace(noise_grid, seeds, size, threads=None) -> ExperimentReport:
     """Compare test MSE between a rowspace-preserving and a rowspace-
     violating test design, per noise level."""
     size, keys = _noise_sweep(noise_grid, seeds, size)
+    r = DEFAULT_FACTOR_RANK
 
     def one(sigma2, seed):
-        trial_ok, trial_bad = make_subspace_trial(size, sigma2, seed, r=r)
+        trial_ok, trial_bad = make_subspace_trial(size, sigma2, seed)
         model = fit(trial_ok.z_train, trial_ok.y, k=r)
         cfg = PredictionConfig(ell=r)
         mse_ok = mean_squared_error(predict(model, trial_ok.z_test, cfg), trial_ok.theta_test)
@@ -335,8 +340,8 @@ def run_experiment_subspace(noise_grid, seeds, size, threads=None, r=DEFAULT_FAC
             mse_ok=mse_ok,
             mse_bad=mse_bad,
             mse_ratio=mse_bad / mse_ok if mse_ok > 0 else math.inf,
-            leakage_ok=check_subspace_inclusion(trial_ok.x_train, trial_ok.x_test, 1e-8).leakage,
-            leakage_bad=check_subspace_inclusion(trial_bad.x_train, trial_bad.x_test, 1e-8).leakage,
+            leakage_ok=check_subspace_inclusion(trial_ok.x_train, trial_ok.x_test),
+            leakage_bad=check_subspace_inclusion(trial_bad.x_train, trial_bad.x_test),
         )
         return rec
 
@@ -379,6 +384,9 @@ def _noise_sweep(noise_grid, seeds, size):
         raise BadParam("noise grid must be nonempty")
     if any(not math.isfinite(v) or v < 0 for v in grid):
         raise BadParam("noise variances must be finite and >= 0")
+    # variances are keyed at 1e-6 resolution; equal keys would share random
+    # streams and the config label
+    _check_distinct("noise variance", grid, _sigma_key)
     seeds = _check_seeds(seeds)
     return size, [(sigma2, seed) for sigma2 in grid for seed in seeds]
 
@@ -387,7 +395,21 @@ def _check_seeds(seeds):
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise BadParam("seeds must be nonempty")
+    if min(seeds) < 0:
+        raise BadParam(f"seeds must be >= 0, got {min(seeds)}")
+    _check_distinct("seed", seeds)
     return seeds
+
+
+def _check_distinct(what, values, key=None):
+    """Reject a grid in which two values (or their keys) are equal: their
+    trials would draw the same streams and count twice in the aggregates."""
+    seen = {}
+    for v in values:
+        k = v if key is None else key(v)
+        if k in seen:
+            raise BadParam(f"{what} {v!r} repeats {seen[k]!r}")
+        seen[k] = v
 
 
 def _sigma_key(sigma2: float) -> int:

@@ -165,7 +165,6 @@ def gen_panel_ife(n: int, m: int, p: int, r: int, sigma: float, seed) -> PanelTr
         outcomes=MaskedMatrix.from_dense(values, col_labels=labels),
         target_col=0,
         pre_periods=n,
-        unit_labels=labels,
     )
     return PanelTrial(
         panel=panel,

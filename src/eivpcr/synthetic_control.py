@@ -17,8 +17,6 @@ from .pcr import PredictionConfig, check_subspace_inclusion, fit, predict_detail
 from .rank_selection import select_rank_largest_gap
 from .metrics import mean_squared_error, snr_report
 
-_LEAKAGE_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class PanelDataset:
@@ -29,13 +27,12 @@ class PanelDataset:
     regression response and must be fully observed. Post-treatment target
     outcomes are never read (they are the treated observations, not the
     counterfactual), and missing donor cells are handled by rescaling.
+    Unit names, when the table has them, are ``outcomes.col_labels``.
     """
 
     outcomes: MaskedMatrix
     target_col: int
     pre_periods: int
-    unit_labels: tuple[str, ...] | None = None
-    time_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         rows, cols = self.outcomes.rows, self.outcomes.cols
@@ -55,15 +52,6 @@ class PanelDataset:
             )
         object.__setattr__(self, "pre_periods", n)
         object.__setattr__(self, "target_col", t)
-        for name, labels, want in (
-            ("unit_labels", self.unit_labels, cols),
-            ("time_labels", self.time_labels, rows),
-        ):
-            if labels is not None:
-                labels = tuple(str(x) for x in labels)
-                if len(labels) != want:
-                    raise BadShape(f"{name} has {len(labels)} entries, need {want}")
-                object.__setattr__(self, name, labels)
 
     @property
     def n(self) -> int:
@@ -79,9 +67,9 @@ class PanelDataset:
 
     def _donor_block(self, row_slice) -> MaskedMatrix:
         keep = [j for j in range(self.outcomes.cols) if j != self.target_col]
-        labels = (
-            tuple(self.unit_labels[j] for j in keep) if self.unit_labels else None
-        )
+        labels = self.outcomes.col_labels
+        if labels is not None:
+            labels = tuple(labels[j] for j in keep)
         return MaskedMatrix(
             values=self.outcomes.values[row_slice][:, keep],
             mask=self.outcomes.mask[row_slice][:, keep],
@@ -165,8 +153,7 @@ def fit_rsc(panel: PanelDataset, k="auto", cfg: PredictionConfig | None = None) 
     leakage = check_subspace_inclusion(
         kept.singular_values[:, None] * kept.right_vectors.T,
         s_test[:ell, None] * pred.factors.right_vectors[:, :ell].T,
-        _LEAKAGE_TOL,
-    ).leakage
+    )
 
     if ell >= 1 and s_test[ell - 1] > 0:
         snr_test = snr_report(s_test[ell - 1], pred.rho_hat_prime, panel.m, panel.p)

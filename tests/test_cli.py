@@ -329,7 +329,7 @@ class TestSpectrum:
         code, _, _ = run_cli(["spectrum", "--z", z, "--out", out], capsys)
         assert code == 0
         got = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
-        full = svd(rescale(MaskedMatrix.from_values_with_nan(x))[0]).singular_values
+        full = svd(rescale(MaskedMatrix(values=x, mask=~np.isnan(x)))[0]).singular_values
         assert got.shape == full.shape
         assert np.max(np.abs(got - full)) <= 1e-14 * full[0]
 
@@ -440,6 +440,37 @@ class TestExperiment:
         )
         assert code == 2
         assert error_of(stderr)["error"] == "BadParam"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--name", "identification", "--size", "10"],
+         "identification sweeps its own sample sizes; --size is not applicable"),
+        (["--name", "shift", "--size", "10", "--seeds", "1"], "size=10 must be >= 50"),
+        (["--name", "subspace", "--noise", "0.1", "--noise", "0.1", "--size", "60", "--seeds", "2"],
+         "noise variance 0.1 repeats 0.1"),
+        (["--name", "identification", "--p", "27", "--p", "27", "--seeds", "1"],
+         "dimension 27 repeats 27"),
+        (["--name", "identification", "--p", "27", "--seeds", "1", "--seed", "-1"],
+         "--seed -1 must be >= 0"),
+    ])
+    def test_rejected_run_exits_two_and_creates_no_out_dir(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "d"
+        code, stdout, stderr = run_cli(["experiment", *argv, "--out", out], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert error_of(stderr) == {"error": "BadParam", "message": message}
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(experiments, "_run_trials", no_trials)
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        code, _, stderr = self._run(tmp_path, capsys, "subspace", out)
+        assert code == 2
+        assert error_of(stderr)["error"] == "BadParam"
+        assert out.read_text() == "keep"
 
     def test_identification_mini_run(self, tmp_path, capsys):
         code, stdout, _ = run_cli(

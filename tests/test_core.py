@@ -47,11 +47,6 @@ class TestMaskedMatrix:
         )
         assert_array_equal(m.zero_filled(), [[1.0, 0.0], [0.0, 4.0]])
 
-    def test_from_values_with_nan(self):
-        m = MaskedMatrix.from_values_with_nan([[1.0, np.nan], [np.nan, 4.0]])
-        assert_array_equal(m.mask, [[True, False], [False, True]])
-        assert m.observed_count == 2
-
     def test_observed_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
             MaskedMatrix.from_dense([[1.0, np.inf]])

@@ -343,7 +343,8 @@ class TestReadPanelCsv:
         panel = read_panel_csv(self._spec(tmp_path), "target", 4)
         assert panel.target_col == 0
         assert panel.pre_periods == 4
-        assert panel.unit_labels == ("target", "d1", "d2")
+        assert panel.outcomes.col_labels == ("target", "d1", "d2")
+        assert panel.donors_pre().col_labels == ("d1", "d2")
         assert_array_equal(panel.target_pre(), [1.0, 2.0, 3.0, 4.0])
         assert panel.donors_post().values.shape == (2, 2)
 

@@ -213,6 +213,38 @@ class TestSubspaceRunner:
             run_experiment_subspace([0.2], [0], 10)
 
 
+class TestGridChecks:
+    """Grids are rejected before any trial runs."""
+
+    _RUNNERS = (
+        lambda seeds: run_experiment_identification([27], seeds),
+        lambda seeds: run_experiment_shift([0.2], seeds, 60),
+        lambda seeds: run_experiment_subspace([0.2], seeds, 60),
+    )
+
+    def test_negative_seed(self):
+        for run in self._RUNNERS:
+            with pytest.raises(BadParam, match="seeds must be >= 0, got -1"):
+                run([0, -1])
+
+    def test_repeated_seed(self):
+        for run in self._RUNNERS:
+            with pytest.raises(BadParam, match="seed 1 repeats 1"):
+                run([1, 2, 1])
+
+    def test_repeated_dimension(self):
+        with pytest.raises(BadParam, match="dimension 27 repeats 27"):
+            run_experiment_identification([27, 64, 27], [0])
+
+    def test_noise_values_sharing_a_stream_key(self):
+        for run in (run_experiment_shift, run_experiment_subspace):
+            with pytest.raises(BadParam, match="noise variance 0.1 repeats 0.1"):
+                run([0.1, 0.1], [0], 60)
+            # 1e-7 apart: the same stream key and config label
+            with pytest.raises(BadParam, match="noise variance 0.1000001 repeats 0.1"):
+                run([0.1, 0.3, 0.1000001], [0], 60)
+
+
 class TestConfigLabels:
     # the exact label format: kind/n/m/p/r/sig (noise sd, %g)/rho1
     def test_identification(self):
