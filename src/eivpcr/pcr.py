@@ -242,7 +242,9 @@ def check_subspace_inclusion(x_train, x_test) -> float:
     Returns ||x_test (I - V_r V_r^T)||_2 / max(1, ||x_test||_2) with V_r
     spanning the train rowspace at numerical rank r (singular values above
     1e-8 times the largest). It is 0 when the test rows lie in that span;
-    under noise it stays above 0 even when the noiseless rows do.
+    under noise it stays above 0 even when the noiseless rows do. One SVD
+    of ``x_train`` with vectors, then two values-only spectral norms; the
+    lab's subspace runner reuses its trials' train factors instead.
     """
     x_train = np.asarray(x_train, dtype=float)
     x_test = np.asarray(x_test, dtype=float)
@@ -252,12 +254,13 @@ def check_subspace_inclusion(x_train, x_test) -> float:
         raise ShapeMismatch(
             f"column counts differ: {x_train.shape[1]} vs {x_test.shape[1]}"
         )
-    factors = svd(x_train)
-    s = factors.singular_values
+    return _inclusion_leakage(svd(x_train), x_test)
+
+
+def _inclusion_leakage(train: SvdFactors, x_test: np.ndarray) -> float:
+    """:func:`check_subspace_inclusion` given ``svd(x_train)``."""
+    s = train.singular_values
     r = int(np.count_nonzero(s > _NUMERICAL_RANK_CUT * s[0])) if s.size and s[0] > 0 else 0
-    if r == 0:
-        residual = x_test
-    else:
-        v_r = factors.right_vectors[:, :r]
-        residual = x_test - (x_test @ v_r) @ v_r.T
+    v_r = train.right_vectors[:, :r]  # at r == 0 the residual is x_test exactly
+    residual = x_test - (x_test @ v_r) @ v_r.T
     return float(spectral_norm(residual) / max(1.0, spectral_norm(x_test)))

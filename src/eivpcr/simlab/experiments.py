@@ -8,6 +8,10 @@ whenever numpy's bundled OpenBLAS is found, run on one BLAS thread. Reports
 are then bit-identical regardless of execution order, worker count or the
 process's BLAS thread setting. Without that library, trials run on the
 process's own BLAS threading, and their last bits may depend on it.
+Every trial factors its latent ``x_train`` once with vectors, kept as
+``TrialData.train_factors`` (beta_star, ``leakage_ok``, ``leakage_bad``), and
+once values-only (``snr``; shift's ``snr_test_*`` take one per test latent).
+The error columns come from the fit and predict SVDs of the corrupted designs.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import numpy as np
 
 from ..core import _singular_values, svd
 from ..errors import BadParam
-from ..pcr import PredictionConfig, check_subspace_inclusion, fit, predict
+from ..pcr import PredictionConfig, _inclusion_leakage, fit, predict
 from .generators import Shift, TrialData, corrupt, gen_factor_uv, gen_prob_pca, gen_rowspan_violation
 from ..metrics import mean_squared_error, rmse, snr_report
 from .streams import Role, child, substream
@@ -165,20 +169,22 @@ def _trial(x_train, x_tests, sigma2, r, trial):
     Draws beta and the response noise from ``trial``'s streams, projects
     beta onto the top-r right singular vectors of ``x_train`` (beta_star)
     and corrupts the train design with noise variance ``sigma2``. Returns
-    one TrialData per matrix in ``x_tests``, all sharing the test-side
-    noise draw, or a bare TrialData when ``x_tests`` is None.
+    one TrialData per matrix in ``x_tests``, sharing ``train_factors`` and
+    the test-side noise draw, or a bare TrialData when ``x_tests`` is None.
     """
     n, p = x_train.shape
     sigma = math.sqrt(float(sigma2))
     beta_raw = substream(trial, Role.MODEL).standard_normal(p)
     eps = sigma * substream(trial, Role.RESPONSE_NOISE).standard_normal(n)
-    v_r = svd(x_train).right_vectors[:, :r]
+    factors = svd(x_train)
+    v_r = factors.right_vectors[:, :r]
     train = dict(
         x_train=x_train,
         beta_raw=beta_raw,
         beta_star=v_r @ (v_r.T @ beta_raw),
         y=x_train @ beta_raw + eps,
         z_train=corrupt(x_train, sigma, 1.0, child(trial, _CORRUPT_TRAIN)),
+        train_factors=factors,
     )
     if x_tests is None:
         return TrialData(**train)
@@ -244,7 +250,6 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
     def one(p, r, n, seed):
         trial = make_identification_trial(p, n, r, seed)
         model = fit(trial.z_train, trial.y, k=r)
-        s_r = _singular_values(trial.x_train)[r - 1]
         return {
             "config": _config("prob_pca", n, 0, p, r, IDENTIFICATION_SIGMA2),
             "p": p,
@@ -253,7 +258,7 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
             "rescaled_n": n / (r * r * math.log(p)),
             "seed": seed,
             "chosen_k": r,
-            "snr": snr_report(s_r, 1.0, n, p),
+            "snr": _snr(trial.x_train, r),
             "rmse_beta_star": rmse(model.beta_hat, trial.beta_star),
             "rmse_beta_raw": rmse(model.beta_hat, trial.beta_raw),
         }
@@ -272,8 +277,8 @@ def make_shift_trial(size: int, sigma2: float, seed) -> dict:
     """
     n, r = int(size), DEFAULT_FACTOR_RANK
     trial = child(seed, _sigma_key(sigma2), size)
-    pairs = [gen_factor_uv(n, n, n, trial, shift=shift, r=r) for shift in Shift]
-    return dict(zip(Shift, _trial(pairs[0][0], [x_te for _, x_te in pairs], sigma2, r, trial)))
+    x_train, x_tests = gen_factor_uv(n, n, n, trial, r=r)
+    return dict(zip(x_tests, _trial(x_train, list(x_tests.values()), sigma2, r, trial)))
 
 
 def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentReport:
@@ -293,7 +298,7 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentRep
         for shift, trial in trials.items():
             y_hat = predict(model, trial.z_test, PredictionConfig(ell=r))
             rec[f"mse_{shift.name}"] = mean_squared_error(y_hat, trial.theta_test)
-            rec[f"snr_test_{shift.name}"] = _snr(trial.x_test, r, size)
+            rec[f"snr_test_{shift.name}"] = _snr(trial.x_test, r)
         return rec
 
     mse_cols = tuple(f"mse_{s.name}" for s in Shift)
@@ -309,13 +314,9 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentRep
 
 
 def make_subspace_trial(size: int, sigma2: float, seed):
-    """Assemble the inclusion-preserving and inclusion-violating trials.
-
-    Both test designs share the train matrix and the test-side noise draw.
-
-    Returns
-    -------
-    (trial_ok, trial_bad)
+    """Assemble ``(trial_ok, trial_bad)``, the inclusion-preserving and
+    inclusion-violating trials. Both test designs share the train matrix,
+    its factors and the test-side noise draw.
     """
     n, r = int(size), DEFAULT_FACTOR_RANK
     trial = child(seed, _sigma_key(sigma2), size)
@@ -340,15 +341,14 @@ def run_experiment_subspace(noise_grid, seeds, size, threads=None) -> Experiment
             mse_ok=mse_ok,
             mse_bad=mse_bad,
             mse_ratio=mse_bad / mse_ok if mse_ok > 0 else math.inf,
-            leakage_ok=check_subspace_inclusion(trial_ok.x_train, trial_ok.x_test),
-            leakage_bad=check_subspace_inclusion(trial_bad.x_train, trial_bad.x_test),
+            leakage_ok=_inclusion_leakage(trial_ok.train_factors, trial_ok.x_test),
+            leakage_bad=_inclusion_leakage(trial_bad.train_factors, trial_bad.x_test),
         )
         return rec
 
     def ratio(agg):
-        if agg["mse_ok_mean"] > 0:
-            return {"mse_ratio_of_means": agg["mse_bad_mean"] / agg["mse_ok_mean"]}
-        return {"mse_ratio_of_means": math.inf}
+        ok = agg["mse_ok_mean"]
+        return {"mse_ratio_of_means": agg["mse_bad_mean"] / ok if ok > 0 else math.inf}
 
     return _run(
         "subspace", keys, one, threads, ("sigma2", "seed"),
@@ -356,8 +356,8 @@ def run_experiment_subspace(noise_grid, seeds, size, threads=None) -> Experiment
     )
 
 
-def _snr(x, r, size) -> float:
-    return snr_report(_singular_values(x)[r - 1], 1.0, size, size)
+def _snr(x, r) -> float:
+    return snr_report(_singular_values(x)[r - 1], 1.0, *x.shape)
 
 
 def _noise_record(kind, size, r, sigma2, seed, x_train) -> dict:
@@ -369,7 +369,7 @@ def _noise_record(kind, size, r, sigma2, seed, x_train) -> dict:
         "r": r,
         "seed": seed,
         "chosen_k": r,
-        "snr": _snr(x_train, r, size),
+        "snr": _snr(x_train, r),
     }
 
 
@@ -384,9 +384,11 @@ def _noise_sweep(noise_grid, seeds, size):
         raise BadParam("noise grid must be nonempty")
     if any(not math.isfinite(v) or v < 0 for v in grid):
         raise BadParam("noise variances must be finite and >= 0")
-    # variances are keyed at 1e-6 resolution; equal keys would share random
-    # streams and the config label
+    # variances are keyed at 1e-6 resolution and labelled with 6 significant
+    # digits of the sd; equal keys would share random streams, equal labels
+    # would merge two configurations' rows in trials.csv
     _check_distinct("noise variance", grid, _sigma_key)
+    _check_distinct("noise variance", grid, lambda v: _config("", size, size, size, 0, v))
     seeds = _check_seeds(seeds)
     return size, [(sigma2, seed) for sigma2 in grid for seed in seeds]
 

@@ -13,10 +13,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from ..core import MaskedMatrix
+from ..core import MaskedMatrix, SvdFactors
 from ..errors import BadParam, BadShape
 from ..synthetic_control import PanelDataset
-from .streams import Role, substream
+from .streams import Role, child, substream
 
 
 class Shift(IntEnum):
@@ -37,10 +37,11 @@ class Shift(IntEnum):
 class TrialData:
     """One assembled trial: latent matrices, model, responses, observations.
 
-    ``beta_star`` is the projection of ``beta_raw`` onto the rowspan of
-    ``x_train`` (the minimum-norm model the estimator can identify) and
-    ``theta_test`` holds the true expected test responses ``x_test @
-    beta_raw``. Test-side fields are None for identification-only trials.
+    ``train_factors`` is ``svd(x_train)``, the trial's one SVD with vectors:
+    ``beta_star`` projects ``beta_raw`` onto its top-r right vectors (the
+    minimum-norm model the estimator can identify) and the subspace leakage
+    columns read it. ``theta_test = x_test @ beta_raw`` holds the expected
+    test responses. Test-side fields are None for identification-only trials.
     """
 
     x_train: np.ndarray
@@ -48,6 +49,7 @@ class TrialData:
     beta_star: np.ndarray
     y: np.ndarray
     z_train: MaskedMatrix
+    train_factors: SvdFactors
     x_test: np.ndarray | None = None
     z_test: MaskedMatrix | None = None
     theta_test: np.ndarray | None = None
@@ -66,37 +68,31 @@ def gen_prob_pca(n: int, p: int, r: int, seed) -> np.ndarray:
     return x_r @ q
 
 
-def _draw_shifted_factors(rng, m: int, r: int, shift: Shift) -> np.ndarray:
-    if shift == Shift.N1:
-        return rng.standard_normal((m, r))
-    if shift == Shift.N2:
-        return math.sqrt(5.0) * rng.standard_normal((m, r))
-    if shift == Shift.U1:
-        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(m, r))
-    if shift == Shift.U2:
-        return rng.uniform(-math.sqrt(15.0), math.sqrt(15.0), size=(m, r))
-    raise BadParam(f"unknown shift {shift!r}")
+def gen_factor_uv(n: int, m: int, p: int, seed, r: int = 10):
+    """One train latent and a test latent per shift, sharing right factors.
 
-
-def gen_factor_uv(n: int, m: int, p: int, seed, shift: Shift = Shift.N1, r: int = 10):
-    """Train/test latent pair sharing right factors.
-
-    X = U V^T with U (n x r) and V (p x r) standard normal. The test matrix
-    X' = U' V^T reuses V, with U' drawn per ``shift``, so the test rowspace
-    is contained in the train rowspace by construction for every shift.
+    X = U V^T with U (n x r) and V (p x r) standard normal, drawn once. Each
+    test matrix X' = U' V^T reuses V, with U' (m x r) drawn per shift from
+    its own ``(seed, Role.LATENT_TEST, shift)`` stream, so every test
+    rowspace is contained in the train rowspace by construction. A shift
+    trial makes one call and factors its one ``x_train`` once with vectors.
 
     Returns
     -------
-    (x_train, x_test)
+    (x_train, {shift: x_test for every Shift})
     """
     _check_dims(n=n, m=m, p=p, r=r)
     rng = substream(seed, Role.LATENT)
     u = rng.standard_normal((n, r))
     v = rng.standard_normal((p, r))
-    u_test = _draw_shifted_factors(
-        substream(seed, Role.LATENT_TEST, int(Shift(shift))), m, r, Shift(shift)
-    )
-    return u @ v.T, u_test @ v.T
+    rngs = {shift: substream(seed, Role.LATENT_TEST, int(shift)) for shift in Shift}
+    u_tests = {
+        Shift.N1: rngs[Shift.N1].standard_normal((m, r)),
+        Shift.N2: math.sqrt(5.0) * rngs[Shift.N2].standard_normal((m, r)),
+        Shift.U1: rngs[Shift.U1].uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(m, r)),
+        Shift.U2: rngs[Shift.U2].uniform(-math.sqrt(15.0), math.sqrt(15.0), size=(m, r)),
+    }
+    return u @ v.T, {shift: u_test @ v.T for shift, u_test in u_tests.items()}
 
 
 def gen_rowspan_violation(n: int, m: int, p: int, seed, r: int = 10):
@@ -189,6 +185,7 @@ def corrupt(x, sigma: float, rho: float, seed) -> MaskedMatrix:
         raise BadParam(f"sigma={sigma} must be >= 0")
     if not 0.0 < rho <= 1.0:
         raise BadParam(f"rho={rho} outside (0, 1]")
+    seed = child(seed)  # checks the seed also when no stream is drawn
     values = x
     if sigma > 0:
         values = x + sigma * substream(seed, Role.NOISE).standard_normal(x.shape)

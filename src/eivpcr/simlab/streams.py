@@ -11,6 +11,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from ..errors import BadParam
+
 
 class Role(IntEnum):
     """Reserved stream roles inside a single trial."""
@@ -28,13 +30,17 @@ class Role(IntEnum):
 def child(seed, *key) -> np.random.SeedSequence:
     """Extend a seed with further key components.
 
-    ``seed`` is either an integer (used as entropy) or an existing
-    SeedSequence whose spawn key gets the components appended.
+    ``seed`` is either an integer >= 0 (used as entropy) or an existing
+    SeedSequence whose spawn key gets the components appended. Every
+    generator and trial builder derives its streams through this function,
+    so a negative seed raises ``BadParam`` here.
     """
     key = tuple(int(k) for k in key)
     if isinstance(seed, np.random.SeedSequence):
         base = tuple(int(k) for k in seed.spawn_key)
         return np.random.SeedSequence(entropy=seed.entropy, spawn_key=base + key)
+    if int(seed) < 0:
+        raise BadParam(f"seed={seed} must be >= 0")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 
 

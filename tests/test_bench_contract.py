@@ -42,8 +42,14 @@ def test_simlab_names_used_by_the_oracle_and_workloads():
     from eivpcr.simlab import make_identification_trial
     from eivpcr.simlab.experiments import IDENTIFICATION_RATIOS
 
-    assert callable(make_identification_trial)
     assert len(IDENTIFICATION_RATIOS) == 8
+    p, n, r, seed = 27, 30, 3, 4
+    trial = make_identification_trial(p, n, r, seed)  # positionally, as the oracle does
+    # the oracle refits from the masked train design and scores beta_star
+    assert trial.z_train.mask.shape == trial.z_train.values.shape == (n, p)
+    assert trial.z_train.mask.dtype == bool
+    assert trial.y.shape == (n,)
+    assert trial.beta_star.shape == (p,)
 
 
 def test_cli_import_loads_every_traced_module():

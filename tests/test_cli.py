@@ -451,6 +451,8 @@ class TestExperiment:
          "dimension 27 repeats 27"),
         (["--name", "identification", "--p", "27", "--seeds", "1", "--seed", "-1"],
          "--seed -1 must be >= 0"),
+        (["--name", "shift", "--noise", "10", "--noise", "10.000001", "--size", "50", "--seeds", "1"],
+         "noise variance 10.000001 repeats 10.0"),
     ])
     def test_rejected_run_exits_two_and_creates_no_out_dir(self, tmp_path, capsys, argv, message):
         out = tmp_path / "d"

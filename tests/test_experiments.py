@@ -12,6 +12,7 @@ from eivpcr import (
     BadParam,
     MaskedMatrix,
     PredictionConfig,
+    check_subspace_inclusion,
     fit,
     mean_squared_error,
     predict,
@@ -91,6 +92,21 @@ class TestIdentificationRunner:
             run_experiment_identification([4], [0])
         with pytest.raises(BadParam):
             run_experiment_identification([27], [])
+
+
+class TestTrainFactors:
+    def test_trials_keep_the_svd_of_x_train(self):
+        trials = [make_identification_trial(27, 40, 3, 5)]
+        trials += [*make_shift_trial(60, 0.3, 7).values(), *make_subspace_trial(60, 0.3, 7)]
+        for trial in trials:
+            want = svd(trial.x_train)
+            assert_array_equal(trial.train_factors.singular_values, want.singular_values)
+            assert_array_equal(trial.train_factors.right_vectors, want.right_vectors)
+
+    def test_shift_and_subspace_trials_share_one_factorization(self):
+        # the test designs of a trial hold the very same factors object
+        for trials in (list(make_shift_trial(60, 0.3, 7).values()), make_subspace_trial(60, 0.3, 7)):
+            assert all(t.train_factors is trials[0].train_factors for t in trials)
 
 
 class TestShiftTrial:
@@ -186,6 +202,14 @@ class TestSubspaceRunner:
         assert rec["leakage_ok"] <= 1e-8
         assert rec["leakage_bad"] > 0.5
 
+    def test_leakage_from_kept_factors_equals_the_public_check(self):
+        # the runner reads the trial's train factors; the matrix form
+        # factors x_train again and must give the same bits
+        rec = run_experiment_subspace([0.2], [0], 60).records[0]
+        trial_ok, trial_bad = make_subspace_trial(60, 0.2, 0)
+        assert rec["leakage_ok"] == check_subspace_inclusion(trial_ok.x_train, trial_ok.x_test)
+        assert rec["leakage_bad"] == check_subspace_inclusion(trial_bad.x_train, trial_bad.x_test)
+
     def test_shared_test_noise(self):
         trial_ok, trial_bad = make_subspace_trial(60, 0.4, 1)
         assert_array_equal(trial_ok.x_train, trial_bad.x_train)
@@ -243,6 +267,9 @@ class TestGridChecks:
             # 1e-7 apart: the same stream key and config label
             with pytest.raises(BadParam, match="noise variance 0.1000001 repeats 0.1"):
                 run([0.1, 0.3, 0.1000001], [0], 60)
+            # 1e-6 apart: distinct stream keys, but both labels read sig3.16228
+            with pytest.raises(BadParam, match="noise variance 10.000001 repeats 10.0"):
+                run([10, 10.000001], [0], 60)
 
 
 class TestConfigLabels:

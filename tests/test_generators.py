@@ -14,6 +14,9 @@ from eivpcr.simlab import (
     gen_panel_ife,
     gen_prob_pca,
     gen_rowspan_violation,
+    make_identification_trial,
+    make_shift_trial,
+    make_subspace_trial,
     substream,
 )
 
@@ -47,6 +50,26 @@ class TestStreams:
     def test_int_seed_equals_empty_child(self):
         assert_array_equal(gen_prob_pca(6, 8, 2, 5), gen_prob_pca(6, 8, 2, child(5)))
 
+    def test_negative_seed_is_rejected_by_name(self):
+        for derive in (lambda: child(-1, 3), lambda: substream(-1, Role.NOISE)):
+            with pytest.raises(BadParam, match=r"^seed=-1 must be >= 0$"):
+                derive()
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_identification_trial(8, 10, 2, -1),
+        lambda: make_shift_trial(60, 0.1, -1),
+        lambda: make_subspace_trial(60, 0.1, -1),
+        lambda: gen_prob_pca(5, 5, 2, -3),
+        lambda: gen_factor_uv(6, 6, 6, -3, r=2),
+        lambda: gen_rowspan_violation(6, 6, 6, -3, r=2),
+        lambda: gen_panel_ife(5, 3, 4, 2, 0.1, -3),
+        lambda: corrupt(np.ones((3, 3)), 0.1, 1.0, -1),
+        lambda: corrupt(np.ones((3, 3)), 0.0, 1.0, -1),  # draws no stream
+    ])
+    def test_builders_and_generators_reject_negative_seeds(self, build):
+        with pytest.raises(BadParam, match=r"^seed=-[13] must be >= 0$"):
+            build()
+
 
 class TestProbPca:
     def test_shape_and_rank(self):
@@ -72,37 +95,41 @@ class TestProbPca:
 
 class TestFactorUv:
     def test_train_is_shared_across_shifts(self):
-        trains = [gen_factor_uv(30, 20, 25, 3, shift=s, r=4)[0] for s in Shift]
-        for other in trains[1:]:
-            assert_array_equal(trains[0], other)
+        # one n x p train latent for all four shifts, each with an m x p test
+        x_tr, x_tests = gen_factor_uv(30, 20, 25, 3, r=4)
+        assert x_tr.shape == (30, 25)
+        assert list(x_tests) == list(Shift)
+        assert all(x_te.shape == (20, 25) for x_te in x_tests.values())
 
     def test_test_factors_differ_across_shifts(self):
-        tests = [gen_factor_uv(30, 20, 25, 3, shift=s, r=4)[1] for s in Shift]
+        tests = list(gen_factor_uv(30, 20, 25, 3, r=4)[1].values())
         for i in range(len(tests)):
             for j in range(i + 1, len(tests)):
                 assert not np.array_equal(tests[i], tests[j])
 
     def test_rowspace_inclusion_for_every_shift(self):
-        for s in Shift:
-            x_tr, x_te = gen_factor_uv(30, 20, 25, 3, shift=s, r=4)
-            assert check_subspace_inclusion(x_tr, x_te) <= 1e-8
+        x_tr, x_tests = gen_factor_uv(30, 20, 25, 3, r=4)
+        for s, x_te in x_tests.items():
+            assert check_subspace_inclusion(x_tr, x_te) <= 1e-8, s
 
     def test_stream_rederivation(self):
         rng = substream(9, Role.LATENT)
         u = rng.standard_normal((15, 3))
         v = rng.standard_normal((10, 3))
-        x_tr, x_te = gen_factor_uv(15, 12, 10, 9, shift=Shift.N2, r=3)
+        x_tr, x_tests = gen_factor_uv(15, 12, 10, 9, r=3)
         assert_array_equal(x_tr, u @ v.T)
-        u_test = math.sqrt(5.0) * substream(
-            9, Role.LATENT_TEST, int(Shift.N2)
-        ).standard_normal((12, 3))
-        assert_array_equal(x_te, u_test @ v.T)
+        # each shift draws from its own (seed, LATENT_TEST, shift) stream
+        scale = {Shift.N1: 1.0, Shift.N2: math.sqrt(5.0)}
+        for s in (Shift.N1, Shift.N2):
+            rng_s = substream(9, Role.LATENT_TEST, int(s))
+            assert_array_equal(x_tests[s], (scale[s] * rng_s.standard_normal((12, 3))) @ v.T)
+        for s, half in ((Shift.U1, math.sqrt(3.0)), (Shift.U2, math.sqrt(15.0))):
+            rng_s = substream(9, Role.LATENT_TEST, int(s))
+            assert_array_equal(x_tests[s], rng_s.uniform(-half, half, size=(12, 3)) @ v.T)
 
     def test_shift_moments_and_support(self):
         m, r = 2000, 10
-        draws = {
-            s: gen_factor_uv(11, m, 11, 123, shift=s, r=r)[1] for s in Shift
-        }
+        _, draws = gen_factor_uv(11, m, 11, 123, r=r)
         # recover the raw factors via the shared right factors
         rng = substream(123, Role.LATENT)
         rng.standard_normal((11, r))

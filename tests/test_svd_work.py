@@ -4,29 +4,48 @@ point makes, which of them compute singular vectors, and on what shapes.
 Callers that read only the spectrum go through the values-only path, and the
 synthetic-controls inclusion check runs on k x p row factors instead of full
 reconstructions. The call counts themselves stay at 2/1/1/6 per CLI command
-and 3 per identification trial.
+and 3 per identification trial. A lab trial factors each input matrix at
+most twice, once with vectors and once without: 9 calls per subspace trial
+and 11 per shift trial.
 """
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from eivpcr.cli import main
-from eivpcr.simlab import run_experiment_identification
+from eivpcr.simlab import run_experiment_identification, run_experiment_shift, run_experiment_subspace
+
+
+def _record_svd(monkeypatch, describe):
+    """Wrap numpy.linalg.svd to record (compute_uv, describe(input)) per call."""
+    calls = []
+    real = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append((kwargs.get("compute_uv", True), describe(a)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
 
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """Record (compute_uv, shape) of every numpy.linalg.svd call."""
-    calls = []
-    real = np.linalg.svd
+    return _record_svd(monkeypatch, np.shape)
 
-    def recording(a, *args, **kwargs):
-        calls.append((kwargs.get("compute_uv", True), np.shape(a)))
-        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return calls
+@pytest.fixture
+def lapack_inputs(monkeypatch):
+    """Record (compute_uv, digest of the input bytes) of every
+    numpy.linalg.svd call."""
+    return _record_svd(
+        monkeypatch,
+        lambda a: hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest(),
+    )
 
 
 def _write(path, array, header=None):
@@ -109,3 +128,20 @@ def test_identification_trial_calls(lapack_calls):
     # vectors; the snr column reads x_train's spectrum alone
     assert len(lapack_calls) == 3 * trials
     assert sum(1 for uv, _ in lapack_calls if uv) == 2 * trials
+
+
+@pytest.mark.parametrize("run, want", [
+    # beta_star (vectors), fit, two predicts; snr; two inclusion checks'
+    # spectral norms; the leakage reads the trial's kept train factors
+    (run_experiment_subspace, (9, 4)),
+    # beta_star (vectors), fit, four predicts; train snr and four test snrs
+    (run_experiment_shift, (11, 6)),
+], ids=["subspace", "shift"])
+def test_lab_trial_factors_each_input_once_per_kind(lapack_inputs, run, want):
+    # noisy, so z_train and z_test differ from the latent matrices
+    assert len(run([0.2], [0], 60).records) == 1
+    vectors = sum(1 for uv, _ in lapack_inputs if uv)
+    assert (len(lapack_inputs), vectors) == want
+    # no matrix reaches LAPACK twice with vectors, or twice without
+    assert max(Counter(lapack_inputs).values()) == 1
+
