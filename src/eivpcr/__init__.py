@@ -40,7 +40,6 @@ from .pcr import (
     Prediction,
     PredictionConfig,
     check_subspace_inclusion,
-    clamp,
     fit,
     predict,
     predict_detailed,
@@ -85,7 +84,6 @@ __all__ = [
     "TargetMissingPre",
     "UnknownUnit",
     "check_subspace_inclusion",
-    "clamp",
     "counterfactual_error",
     "estimate_rho",
     "fit",

@@ -80,16 +80,6 @@ class MaskedMatrix:
     def cols(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def observed_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-    def zero_filled(self) -> np.ndarray:
-        """The matrix with every unobserved cell replaced by exactly 0."""
-        out = np.where(self.mask, self.values, 0.0)
-        out.flags.writeable = False
-        return out
-
     @classmethod
     def from_dense(cls, values, mask=None, col_labels=None) -> "MaskedMatrix":
         """Build from a dense array, fully observed unless a mask is given."""
@@ -106,7 +96,7 @@ def estimate_rho(m: MaskedMatrix) -> float:
     estimate must stay defined.
     """
     total = m.rows * m.cols
-    observed = m.observed_count
+    observed = int(np.count_nonzero(m.mask))
     if total == 0 or observed == 0:
         raise AllMissing("no observed cells")
     return observed / total
@@ -119,7 +109,8 @@ def rescale(m: MaskedMatrix) -> tuple[np.ndarray, float]:
     observed fraction from :func:`estimate_rho`.
     """
     rho_hat = estimate_rho(m)
-    rescaled = m.zero_filled() / rho_hat
+    rescaled = np.where(m.mask, m.values, 0.0)
+    rescaled /= rho_hat
     rescaled.flags.writeable = False
     return rescaled, rho_hat
 
@@ -153,10 +144,6 @@ class SvdFactors:
         object.__setattr__(self, "left_vectors", u)
         object.__setattr__(self, "right_vectors", v)
 
-    @property
-    def rank_bound(self) -> int:
-        return int(self.singular_values.shape[0])
-
 
 def _apply_sign_convention(u: np.ndarray, vt: np.ndarray):
     if u.size == 0:
@@ -178,20 +165,14 @@ def svd(m) -> SvdFactors:
 
     Raises
     ------
+    BadShape
+        If ``m`` is not 2-dimensional.
     NonFinite
         If any entry is NaN or infinite.
     NoConverge
         If the iteration fails; never silently truncated.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise BadShape("svd expects a 2-dimensional matrix")
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix entries must be finite")
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConverge(str(exc)) from exc
+    u, s, vt = _lapack_svd(m, full_matrices=False)
     _apply_sign_convention(u, vt)  # in place: LAPACK's outputs are ours
     return SvdFactors(singular_values=s, left_vectors=u, right_vectors=vt.T)
 
@@ -202,8 +183,9 @@ def truncate_rank(f: SvdFactors, k: int) -> np.ndarray:
     Ties in the spectrum are resolved by stored order: the first k triplets
     are kept as they appear in ``f``.
     """
-    if not 1 <= int(k) <= f.rank_bound:
-        raise RankOutOfRange(f"k={k} outside [1, {f.rank_bound}]")
+    q = f.singular_values.shape[0]
+    if not 1 <= int(k) <= q:
+        raise RankOutOfRange(f"k={k} outside [1, {q}]")
     k = int(k)
     return (f.left_vectors[:, :k] * f.singular_values[:k]) @ f.right_vectors[:, :k].T
 
@@ -214,24 +196,22 @@ def _singular_values(m) -> np.ndarray:
     One values-only LAPACK call: the cheap path for every caller that reads
     the spectrum and would discard the vectors :func:`svd` computes. The
     values agree with ``svd(m).singular_values`` to rounding, not bit for
-    bit (LAPACK takes a different route when it skips the vectors).
-
-    Raises
-    ------
-    BadShape
-        If ``m`` is not 2-dimensional.
-    NonFinite
-        If any entry is NaN or infinite.
-    NoConverge
-        If the iteration fails.
+    bit (LAPACK takes a different route when it skips the vectors). Raises
+    what :func:`svd` raises.
     """
+    return _lapack_svd(m, compute_uv=False)
+
+
+def _lapack_svd(m, **kwargs):
+    """``numpy.linalg.svd(m, **kwargs)`` on a validated dense 2-D matrix,
+    with LAPACK's failure raised as :class:`NoConverge`."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
-        raise BadShape("singular values need a 2-dimensional matrix")
+        raise BadShape("svd expects a 2-dimensional matrix")
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix entries must be finite")
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NoConverge(str(exc)) from exc
 

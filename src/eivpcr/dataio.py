@@ -7,13 +7,13 @@ floats. Parsing uses the C locale's decimal point regardless of the
 environment.
 
 Cell grammar of the CSV readers. The ``csv`` module splits the text into
-rows and fields (its default dialect with the spec's delimiter: double-quote
+rows and fields (its default dialect: comma delimiter, double-quote
 quoting, ``\n``, ``\r\n`` or ``\r`` line ends, and a blank line is a row
 with no fields). Each field is stripped of surrounding whitespace. A field
-equal to one of the spec's NA tokens is missing; any other field must be
-accepted by Python's ``float()`` (so ``1_000``, ``1e-320`` and non-ASCII
-decimal digits are numbers) and be finite. An error names the first ragged
-row or bad cell in file order.
+equal to ``NA``, ``nan`` or the empty string is missing; any other field
+must be accepted by Python's ``float()`` (so ``1_000``, ``1e-320`` and
+non-ASCII decimal digits are numbers) and be finite. An error names the
+first ragged row or bad cell in file order.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from .synthetic_control import PanelDataset
 MODEL_SCHEMA_VERSION = 1
 
 _NA_OUT = "NA"
+_NA_TOKENS = frozenset(("NA", "nan", ""))  # stripped fields read as missing
 
 # Cells parsed per block: small enough that a block's strings stay in cache
 # between the passes over them, large enough that per-block costs vanish.
@@ -42,28 +43,19 @@ _BLOCK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class CsvMatrixSpec:
-    """Where and how to read a numeric table."""
+    """A numeric table's path and whether its first row holds column
+    labels; its cells follow the module's grammar (commas, NA tokens)."""
 
     path: str | Path
     has_header: bool = False
-    na_tokens: tuple = ("NA", "nan", "")
-    delimiter: str = ","
-
-    def __post_init__(self):
-        if len(str(self.delimiter)) != 1:
-            raise BadParam(f"delimiter must be a single character, got {self.delimiter!r}")
-        tokens = tuple(str(t) for t in self.na_tokens)
-        if not tokens:
-            raise BadParam("na_tokens must be nonempty")
-        object.__setattr__(self, "na_tokens", tokens)
 
 
 def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     """Parse a rectangular CSV into observed values and a mask.
 
-    Cells matching one of ``spec.na_tokens`` (after stripping whitespace)
-    are missing; every other cell must parse as a finite float. Row and
-    column positions in errors are 1-based and count data rows only.
+    Cells equal to ``NA``, ``nan`` or "" (after stripping whitespace) are
+    missing; every other cell must parse as a finite float. Row and column
+    positions in errors are 1-based and count data rows only.
     """
     try:
         labels, blocks = _read_blocks(spec)
@@ -76,7 +68,7 @@ def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
 def _read_blocks(spec: CsvMatrixSpec):
     """Header labels (or None) and the parsed blocks of data rows."""
     with open(spec.path, newline="") as f:
-        reader = csv.reader(f, delimiter=spec.delimiter)
+        reader = csv.reader(f)
         labels = None
         if spec.has_header:
             header = next(reader, None)
@@ -105,8 +97,7 @@ def _parse_block(spec: CsvMatrixSpec, rows: list, width: int, first_row: int):
     if set(map(len, rows)) != {width}:
         _raise_first_bad_cell(spec, rows, width, first_row)
     tokens = list(map(str.strip, chain.from_iterable(rows)))
-    is_na = frozenset(spec.na_tokens).__contains__
-    mask = ~np.fromiter(map(is_na, tokens), dtype=bool, count=len(tokens))
+    mask = ~np.fromiter(map(_NA_TOKENS.__contains__, tokens), dtype=bool, count=len(tokens))
     try:
         # the mask's bytes are 0/1 selectors, one per token in file order
         observed = np.array(list(compress(tokens, mask.tobytes())), dtype=float)
@@ -131,7 +122,7 @@ def _raise_first_bad_cell(spec: CsvMatrixSpec, rows: list, width: int, first_row
             raise Ragged(f"{spec.path}: row {i} has {len(row)} fields, expected {width}")
         for j, tok in enumerate(row, 1):
             tok = tok.strip()
-            if tok in spec.na_tokens:
+            if tok in _NA_TOKENS:
                 continue
             try:
                 x = float(tok)
@@ -149,10 +140,10 @@ def _raise_first_bad_cell(spec: CsvMatrixSpec, rows: list, width: int, first_row
                 )
 
 
-def write_masked_csv(matrix: MaskedMatrix, path, delimiter: str = ",") -> None:
+def write_masked_csv(matrix: MaskedMatrix, path) -> None:
     """Inverse of :func:`read_masked_csv`; missing cells become "NA"."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f, delimiter=delimiter)
+        writer = csv.writer(f)
         if matrix.col_labels is not None:
             writer.writerow(matrix.col_labels)
         for vals, obs in zip(matrix.values, matrix.mask):
@@ -177,7 +168,8 @@ def read_panel_csv(spec: CsvMatrixSpec, target, pre_periods: int) -> PanelDatase
     """Read a time-by-unit outcome table and split it at ``pre_periods``.
 
     ``target`` is a unit (column) name when the table has a header, or a
-    0-based column index; numeric strings fall back to index lookup.
+    0-based column index; numeric strings fall back to index lookup. A
+    name that labels more than one column raises UnknownUnit.
     """
     outcomes = read_masked_csv(spec)
     idx = _resolve_unit(target, outcomes.col_labels, outcomes.cols)
@@ -196,7 +188,10 @@ def read_panel_csv(spec: CsvMatrixSpec, target, pre_periods: int) -> PanelDatase
 def _resolve_unit(target, labels, cols: int) -> int:
     if isinstance(target, str):
         if labels is not None and target in labels:
-            return labels.index(target)
+            hits = [j for j, label in enumerate(labels) if label == target]
+            if len(hits) > 1:
+                raise UnknownUnit(f"unit {target!r} labels columns {hits}, expected one")
+            return hits[0]
         try:
             idx = int(target)
         except ValueError:

@@ -35,6 +35,13 @@ _ROWSPAN_TOL = 1e-8
 _NUMERICAL_RANK_CUT = 1e-8
 
 
+def _rank(value, name: str) -> int:
+    """``value`` as an int; BadParam unless a Python or numpy integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParam(f"{name}={value!r} must be an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PredictionConfig:
     """Test-side options: truncation rank ``ell`` and optional clamp bound."""
@@ -43,9 +50,10 @@ class PredictionConfig:
     bound: float | None = None
 
     def __post_init__(self):
-        if int(self.ell) < 1:
-            raise BadParam(f"ell={self.ell} must be >= 1")
-        object.__setattr__(self, "ell", int(self.ell))
+        ell = _rank(self.ell, "ell")
+        if ell < 1:
+            raise BadParam(f"ell={ell} must be >= 1")
+        object.__setattr__(self, "ell", ell)
         if self.bound is not None:
             bound = float(self.bound)
             if not bound > 0:
@@ -132,7 +140,7 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
     y : array_like, shape (n,)
         Finite responses.
     k : int
-        Retained rank, 1 <= k <= min(n, p).
+        Retained rank, 1 <= k <= min(n, p); a Python or numpy integer.
 
     Returns
     -------
@@ -143,6 +151,8 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
 
     Raises
     ------
+    BadParam
+        If k is not an integer (a bool, float or string).
     RankOutOfRange
         If k lies outside [1, min(n, p)].
     DegenerateSpectrum
@@ -156,7 +166,7 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
         raise ShapeMismatch(f"{y.shape[0]} responses for {z.rows} rows")
     if not np.all(np.isfinite(y)):
         raise NonFinite("responses must be finite")
-    k = int(k)
+    k = _rank(k, "k")
     if not 1 <= k <= min(z.rows, z.cols):
         raise RankOutOfRange(f"k={k} outside [1, {min(z.rows, z.cols)}]")
     rescaled, rho_hat = rescale(z)
@@ -180,14 +190,6 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
         singular_values=s[:k],
         retained=retained,
     )
-
-
-def clamp(values, bound: float) -> np.ndarray:
-    """Clip each entry to [-bound, bound]; entries inside pass unchanged."""
-    bound = float(bound)
-    if not bound > 0:
-        raise BadParam(f"bound={bound} must be positive")
-    return np.clip(np.asarray(values, dtype=float), -bound, bound)
 
 
 def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfig) -> Prediction:
@@ -219,7 +221,7 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
         y_hat = raw
         clamped = np.zeros(raw.shape, dtype=bool)
     else:
-        y_hat = clamp(raw, cfg.bound)
+        y_hat = np.clip(raw, -cfg.bound, cfg.bound)
         clamped = np.abs(raw) > cfg.bound
     return Prediction(
         y_hat=y_hat,

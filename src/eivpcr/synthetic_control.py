@@ -101,23 +101,25 @@ class CounterfactualResult:
     diagnostics: dict
 
 
-def fit_rsc(panel: PanelDataset, k="auto", cfg: PredictionConfig | None = None) -> CounterfactualResult:
+def fit_rsc(panel: PanelDataset, k="auto") -> CounterfactualResult:
     """Robust synthetic controls: PCR fit on the pre period, predict the post.
+
+    The post block is denoised at rank min(k, m): the train-side k (a
+    conservative upper bound for the unobservable post-period rank), cut
+    to the m post periods so that panels with fewer post periods than k,
+    one included, still predict. No clamping is applied. For another
+    rank or a clamp, call :func:`fit` on ``panel.donors_pre()`` and
+    ``panel.target_pre()``, then :func:`predict_detailed` on
+    ``panel.donors_post()``.
 
     Parameters
     ----------
     panel : PanelDataset
     k : int or "auto"
-        Retained rank for the donor pre block; "auto" picks the largest
-        spectral gap, searched over [1, min(n, p) - 1], of the rescaled
-        block's singular values (computed without vectors).
-    cfg : PredictionConfig, optional
-        Test-side options. When omitted, the truncation rank defaults to
-        min(k, m): the train-side k (a conservative upper bound for the
-        unobservable post-period rank), cut to the m post periods so that
-        panels with fewer post periods than k, one included, still
-        predict. No clamping is applied. A given ``cfg.ell`` above
-        min(m, p) raises RankOutOfRange.
+        Retained rank for the donor pre block, a Python or numpy integer;
+        "auto" picks the largest spectral gap, searched over
+        [1, min(n, p) - 1], of the rescaled block's singular values
+        (computed without vectors).
 
     Notes
     -----
@@ -140,10 +142,8 @@ def fit_rsc(panel: PanelDataset, k="auto", cfg: PredictionConfig | None = None) 
         if k_max < 1:
             raise BadParam("panel too small for automatic rank selection")
         k = select_rank_largest_gap(spectrum, k_max=k_max)
-    model = fit(z_pre, y, int(k))
-    if cfg is None:
-        cfg = PredictionConfig(ell=min(model.k, panel.m))
-    pred = predict_detailed(model, z_post, cfg)
+    model = fit(z_pre, y, k)
+    pred = predict_detailed(model, z_post, PredictionConfig(ell=min(model.k, panel.m)))
 
     s_test = pred.factors.singular_values
     ell = pred.ell_effective

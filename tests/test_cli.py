@@ -252,6 +252,28 @@ class TestSc:
         assert code == 2
         assert error_of(stderr)["error"] == "UnknownUnit"
 
+    def test_target_label_naming_two_columns_exits_two(self, tmp_path, capsys):
+        panel, expected = _panel_files(tmp_path)
+        lines = panel.read_text().splitlines()
+        assert lines[0] == "target,d1,d2,d3,d4"
+        panel.write_text("\n".join(["target,d1,d1,d2,d3", *lines[1:]]) + "\n")
+        out = tmp_path / "traj.csv"
+        code, stdout, stderr = run_cli(
+            ["sc", "--panel", panel, "--target", "d1", "--pre", "6", "--out", out], capsys
+        )
+        assert code == 2 and stdout == ""
+        error = error_of(stderr)
+        assert error["error"] == "UnknownUnit"
+        assert error["message"] == "unit 'd1' labels columns [1, 2], expected one"
+        assert not out.exists()
+        # the same repeated label on donors only is legal
+        code, stdout, _ = run_cli(
+            ["sc", "--panel", panel, "--target", "target", "--pre", "6", "--out", out], capsys
+        )
+        assert code == 0 and diag_of(stdout)["k"] == 2
+        got = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        np.testing.assert_allclose(got, expected, rtol=1e-8)
+
     def test_one_post_period(self, tmp_path, capsys):
         # 9 rows, 8 pre periods: ell defaults to min(k, 1) instead of failing
         rng = np.random.default_rng(7)

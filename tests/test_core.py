@@ -42,10 +42,15 @@ class TestMaskedMatrix:
         assert m.values[1, 0] == 3.0
 
     def test_zero_filled_replaces_missing_with_exact_zero(self):
+        # rescale zero-fills: with half the cells observed it doubles the
+        # observed ones and leaves exactly 0 (not -0.0 or NaN) elsewhere
         m = MaskedMatrix.from_dense(
             [[1.0, 2.0], [3.0, 4.0]], mask=[[True, False], [False, True]]
         )
-        assert_array_equal(m.zero_filled(), [[1.0, 0.0], [0.0, 4.0]])
+        rescaled, rho_hat = rescale(m)
+        assert rho_hat == 0.5
+        assert_array_equal(rescaled, [[2.0, 0.0], [0.0, 8.0]])
+        assert not np.signbit(rescaled).any()
 
     def test_observed_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
@@ -195,7 +200,7 @@ class TestSvd:
 
     def test_empty_matrix(self):
         f = svd(np.empty((0, 3)))
-        assert f.rank_bound == 0
+        assert f.singular_values.shape == (0,)
         assert f.left_vectors.shape == (0, 0) and f.right_vectors.shape == (3, 0)
 
     def test_deterministic_bits(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,6 @@ from eivpcr import (
     RankOutOfRange,
     ShapeMismatch,
     check_subspace_inclusion,
-    clamp,
     fit,
     predict,
     predict_detailed,
@@ -142,6 +143,12 @@ class TestFit:
         for k in (0, 4):
             with pytest.raises(RankOutOfRange):
                 fit(z, [1.0, 2.0, 3.0], k=k)
+        # a rank that is not an integer is rejected by name, never truncated
+        for k in (2.7, True, "3", 2.0, np.float64(2.0)):
+            with pytest.raises(BadParam, match=f"^{re.escape(f'k={k!r}')} must be an integer$"):
+                fit(z, [1.0, 2.0, 3.0], k=k)
+        model = fit(z, [1.0, 2.0, 3.0], k=np.int64(2))
+        assert model.k == 2 and type(model.k) is int
 
     def test_degenerate_spectrum(self):
         rng = _rng(10)
@@ -162,26 +169,38 @@ class TestFit:
             fit(z, [1.0, 2.0, 3.0], k=1)
 
 
+def _clamped_identity_prediction(values, bound):
+    """predict_detailed on the identity design after a fit on it: the
+    unclamped predictions are ``values`` exactly, so this is the clamp."""
+    eye = MaskedMatrix.from_dense(np.eye(len(values)))
+    model = fit(eye, values, k=len(values))
+    return predict_detailed(model, eye, PredictionConfig(ell=len(values), bound=bound))
+
+
 class TestClamp:
     def test_spec_values(self):
-        assert clamp([7.3], 5.0)[0] == 5.0
-        assert clamp([-9.0], 5.0)[0] == -5.0
-        assert clamp([4.2], 5.0)[0] == 4.2
+        pred = _clamped_identity_prediction([7.3, -9.0, 4.2], 5.0)
+        assert pred.y_hat.tolist() == [5.0, -5.0, 4.2]
+        assert pred.clamped.tolist() == [True, True, False]
 
     def test_bad_bound(self):
-        for bound in (0.0, -1.0):
-            with pytest.raises(BadParam):
-                clamp([1.0], bound)
+        for bound in (0.0, -1.0, -np.inf, np.nan):
+            with pytest.raises(BadParam, match="must be positive"):
+                PredictionConfig(ell=1, bound=bound)
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=20),
         st.floats(min_value=0.1, max_value=50),
     )
     def test_idempotent_and_monotone(self, values, bound):
-        once = clamp(values, bound)
-        assert_array_equal(clamp(once, bound), once)
+        once = _clamped_identity_prediction(values, bound)
+        assert np.all(np.abs(once.y_hat) <= bound)
+        assert_array_equal(once.clamped, np.abs(values) > bound)
+        again = _clamped_identity_prediction(once.y_hat, bound)
+        assert_array_equal(again.y_hat, once.y_hat)
+        assert not again.clamped.any()
         order = np.argsort(values, kind="stable")
-        assert np.all(np.diff(once[order]) >= 0)
+        assert np.all(np.diff(once.y_hat[order]) >= 0)
 
 
 class TestPredict:
@@ -249,8 +268,14 @@ class TestPredict:
     def test_config_validation(self):
         with pytest.raises(BadParam):
             PredictionConfig(ell=0)
-        with pytest.raises(BadParam):
-            PredictionConfig(ell=1, bound=-2.0)
+        for bound in (-2.0, 0.0):
+            with pytest.raises(BadParam):
+                PredictionConfig(ell=1, bound=bound)
+        for ell in (2.9, True, "2", 2.0):
+            with pytest.raises(BadParam, match=f"^{re.escape(f'ell={ell!r}')} must be an integer$"):
+                PredictionConfig(ell=ell)
+        cfg = PredictionConfig(ell=np.int32(2))
+        assert cfg.ell == 2 and type(cfg.ell) is int
 
 
 class TestInSampleResiduals:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -118,6 +120,10 @@ class TestFitRsc:
         panel, *_ = _exact_panel()
         with pytest.raises(BadParam):
             fit_rsc(panel, k="elbow")
+        # a non-integer rank reaches fit's check instead of being truncated
+        for k in (2.5, True, "3"):
+            with pytest.raises(BadParam, match=re.escape(repr(k))):
+                fit_rsc(panel, k=k)
 
     def test_auto_needs_room(self):
         vals = np.random.default_rng(2).normal(size=(3, 2))
@@ -212,16 +218,21 @@ class TestShortPostWindow:
         assert_array_equal(result.trajectory, want.y_hat)
 
     def test_explicit_ell_above_post_periods_still_raises(self):
+        # another ell goes through fit + predict_detailed on the donor blocks
         panel = _noisy_masked_panel(post=2)
+        model = fit(panel.donors_pre(), panel.target_pre(), 3)
         with pytest.raises(RankOutOfRange):
-            fit_rsc(panel, k=3, cfg=PredictionConfig(ell=3))
+            predict_detailed(model, panel.donors_post(), PredictionConfig(ell=3))
 
     def test_default_ell_is_k_when_post_periods_allow(self):
         panel = _noisy_masked_panel()
-        r1 = fit_rsc(panel, k=3)
-        r2 = fit_rsc(panel, k=3, cfg=PredictionConfig(ell=3))
-        assert_array_equal(r1.trajectory, r2.trajectory)
-        assert r1.diagnostics == r2.diagnostics
+        result = fit_rsc(panel, k=3)
+        model = fit(panel.donors_pre(), panel.target_pre(), 3)
+        want = predict_detailed(model, panel.donors_post(), PredictionConfig(ell=3))
+        assert_array_equal(result.trajectory, want.y_hat)
+        assert_array_equal(result.beta_hat, model.beta_hat)
+        assert result.diagnostics["ell_effective"] == want.ell_effective == 3
+        assert result.diagnostics["rho_hat_prime"] == want.rho_hat_prime
 
 
 class TestLeakageOnRowFactors:
