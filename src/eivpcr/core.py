@@ -177,6 +177,27 @@ def svd(m) -> SvdFactors:
     return SvdFactors(singular_values=s, left_vectors=u, right_vectors=vt.T)
 
 
+def _svd_of_product(left, right) -> SvdFactors:
+    """Thin SVD of ``left @ right.T`` from its factors, without forming it.
+
+    ``left`` is n x r and ``right`` p x r, with r at most n and p. Each
+    factor is QR-factorized, one LAPACK SVD of the r x r core ``R_l R_r^T``
+    follows, and its vectors are lifted by the Q factors, so the product's
+    r singular triplets cost O((n + p) r^2) rather than a dense SVD of the
+    n x p product. :func:`svd`'s sign convention is applied to the lifted
+    vectors. The result agrees with ``svd(left @ right.T)``'s top r
+    triplets to rounding, not bit for bit; for a rank-deficient factor the
+    trailing singular values are zero to rounding.
+    """
+    q_l, r_l = np.linalg.qr(left)
+    q_r, r_r = np.linalg.qr(right)
+    u, s, vt = _lapack_svd(r_l @ r_r.T, full_matrices=False)
+    u = q_l @ u
+    vt = vt @ q_r.T
+    _apply_sign_convention(u, vt)
+    return SvdFactors(singular_values=s, left_vectors=u, right_vectors=vt.T)
+
+
 def truncate_rank(f: SvdFactors, k: int) -> np.ndarray:
     """Best rank-k approximation rebuilt from the top k triplets.
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import MaskedMatrix
 from .errors import BadParam, CorruptModel, ParseError, Ragged, SchemaMismatch, UnknownUnit
-from .pcr import PcrModel
+from .pcr import PcrModel, _rank
 from .synthetic_control import PanelDataset
 
 MODEL_SCHEMA_VERSION = 1
@@ -168,12 +168,13 @@ def read_panel_csv(spec: CsvMatrixSpec, target, pre_periods: int) -> PanelDatase
     """Read a time-by-unit outcome table and split it at ``pre_periods``.
 
     ``target`` is a unit (column) name when the table has a header, or a
-    0-based column index; numeric strings fall back to index lookup. A
-    name that labels more than one column raises UnknownUnit.
+    0-based integer column index; numeric strings fall back to index
+    lookup. A name that labels more than one column raises UnknownUnit. A
+    non-integer index or ``pre_periods`` raises BadParam.
     """
     outcomes = read_masked_csv(spec)
     idx = _resolve_unit(target, outcomes.col_labels, outcomes.cols)
-    pre = int(pre_periods)
+    pre = _rank(pre_periods, "pre_periods")
     if not 1 <= pre < outcomes.rows:
         raise BadParam(
             f"pre_periods={pre} outside [1, {outcomes.rows - 1}] for {outcomes.rows} rows"
@@ -198,7 +199,7 @@ def _resolve_unit(target, labels, cols: int) -> int:
             known = ", ".join(labels) if labels else "no unit labels in file"
             raise UnknownUnit(f"unknown unit {target!r} ({known})") from None
     else:
-        idx = int(target)
+        idx = _rank(target, "target")
     if not 0 <= idx < cols:
         raise UnknownUnit(f"unit index {idx} outside [0, {cols - 1}]")
     return idx

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..core import MaskedMatrix, SvdFactors
 from ..errors import BadParam, BadShape
+from ..pcr import _rank
 from ..synthetic_control import PanelDataset
 from .streams import Role, child, substream
 
@@ -37,11 +38,15 @@ class Shift(IntEnum):
 class TrialData:
     """One assembled trial: latent matrices, model, responses, observations.
 
-    ``train_factors`` is ``svd(x_train)``, the trial's one SVD with vectors:
-    ``beta_star`` projects ``beta_raw`` onto its top-r right vectors (the
-    minimum-norm model the estimator can identify) and the subspace leakage
-    columns read it. ``theta_test = x_test @ beta_raw`` holds the expected
-    test responses. Test-side fields are None for identification-only trials.
+    ``train_factors`` is the trial's one factorization of ``x_train`` with
+    vectors: ``beta_star`` projects ``beta_raw`` onto its top-r right vectors
+    (the minimum-norm model the estimator can identify) and the subspace
+    leakage columns read it. Shift and subspace trials take ``svd(x_train)``
+    (min(n, p) triplets). An identification trial takes the rank-r thin SVD
+    from the generating factors of ``x_train = X_r Q`` (r triplets), which
+    matches ``svd(x_train)``'s top r to rounding. ``theta_test = x_test @
+    beta_raw`` holds the expected test responses. Test-side fields are None
+    for identification-only trials.
     """
 
     x_train: np.ndarray
@@ -61,11 +66,17 @@ def gen_prob_pca(n: int, p: int, r: int, seed) -> np.ndarray:
     X_r is n x r with standard normal entries; Q is r x p with entries
     drawn uniformly from {-1/sqrt(r), +1/sqrt(r)}.
     """
+    x_r, q = _prob_pca_factors(n, p, r, seed)
+    return x_r @ q
+
+
+def _prob_pca_factors(n: int, p: int, r: int, seed):
+    """The generating factors ``(X_r, Q)`` of :func:`gen_prob_pca`'s X."""
     _check_dims(n=n, p=p, r=r)
     rng = substream(seed, Role.LATENT)
     x_r = rng.standard_normal((n, r))
     q = rng.choice([-1.0, 1.0], size=(r, p)) / math.sqrt(r)
-    return x_r @ q
+    return x_r, q
 
 
 def gen_factor_uv(n: int, m: int, p: int, seed, r: int = 10):
@@ -198,7 +209,7 @@ def corrupt(x, sigma: float, rho: float, seed) -> MaskedMatrix:
 
 def _check_dims(**dims):
     for name, value in dims.items():
-        if int(value) < 1:
+        if _rank(value, name) < 1:
             raise BadShape(f"{name}={value} must be >= 1")
     if "r" in dims:
         r = int(dims["r"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import MaskedMatrix, _singular_values, rescale
 from .errors import BadParam, BadShape, TargetMissingPre
-from .pcr import PredictionConfig, check_subspace_inclusion, fit, predict_detailed
+from .pcr import PredictionConfig, _rank, check_subspace_inclusion, fit, predict_detailed
 from .rank_selection import select_rank_largest_gap
 from .metrics import mean_squared_error, snr_report
 
@@ -36,14 +36,14 @@ class PanelDataset:
 
     def __post_init__(self):
         rows, cols = self.outcomes.rows, self.outcomes.cols
-        n = int(self.pre_periods)
+        n = _rank(self.pre_periods, "pre_periods")
         if n < 1 or rows - n < 1:
             raise BadShape(
                 f"need >=1 pre and >=1 post periods, got pre={n} of {rows} rows"
             )
         if cols < 2:
             raise BadShape("need a target plus at least one donor unit")
-        t = int(self.target_col)
+        t = _rank(self.target_col, "target_col")
         if not 0 <= t < cols:
             raise BadParam(f"target_col={t} outside [0, {cols - 1}]")
         if not np.all(self.outcomes.mask[:n, t]):

@@ -16,7 +16,7 @@ from eivpcr import (
     svd,
     truncate_rank,
 )
-from eivpcr.core import _apply_sign_convention, _singular_values
+from eivpcr.core import _apply_sign_convention, _singular_values, _svd_of_product
 
 # Philox(12345) uniforms < 0.8 on 1000x1000; counted once with
 # np.count_nonzero and frozen
@@ -355,3 +355,54 @@ def test_weyl_singular_value_perturbation(rows, cols, seed):
     b = rng.normal(size=(rows, cols))
     gap = np.abs(svd(a).singular_values - svd(b).singular_values)
     assert gap.max() <= spectral_norm(a - b) + 1e-9
+
+
+def _check_product_factors(f, left, right, rank):
+    """``f`` is a thin SVD of ``left @ right.T`` with ``rank`` nonzero values,
+    under svd's sign convention."""
+    x = left @ right.T
+    (n, r), p = left.shape, right.shape[0]
+    assert f.singular_values.shape == (r,)
+    assert f.left_vectors.shape == (n, r) and f.right_vectors.shape == (p, r)
+    tol = 1e-12 * max(n, p)
+    assert np.abs(f.left_vectors.T @ f.left_vectors - np.eye(r)).max() <= tol
+    assert np.abs(f.right_vectors.T @ f.right_vectors - np.eye(r)).max() <= tol
+    rebuilt = (f.left_vectors * f.singular_values) @ f.right_vectors.T
+    assert np.abs(rebuilt - x).max() <= tol * max(1.0, np.abs(x).max())
+    s = f.singular_values
+    assert_allclose(s, svd(x).singular_values[:r], rtol=0, atol=tol * s[0])
+    assert np.all(s[rank:] <= tol * s[0]) and np.all(s[:rank] > tol * s[0])
+    peaks = np.abs(f.left_vectors).argmax(axis=0)
+    assert np.all(f.left_vectors[peaks, np.arange(r)] >= 0)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    p=st.integers(min_value=1, max_value=40),
+    r=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_svd_of_product_factors_a_low_rank_product(n, p, r, seed):
+    r = min(r, n, p)
+    rng = np.random.default_rng(seed)
+    left, right = rng.normal(size=(n, r)), rng.normal(size=(p, r))
+    _check_product_factors(_svd_of_product(left, right), left, right, r)
+
+
+@given(
+    n=st.integers(min_value=3, max_value=40),
+    p=st.integers(min_value=3, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_svd_of_product_with_a_rank_deficient_right_factor(n, p, seed):
+    # a prob-PCA style Q (r x p, entries +-1/sqrt(r)) whose last row repeats
+    # its first: the product has rank below r (r - 2 when the middle row is
+    # parallel to them too)
+    r = 3
+    rng = np.random.default_rng(seed)
+    q = rng.choice([-1.0, 1.0], size=(r, p)) / np.sqrt(r)
+    q[-1] = q[0]
+    left = rng.normal(size=(n, r))
+    rank = np.linalg.matrix_rank(left @ q)
+    assert rank < r
+    _check_product_factors(_svd_of_product(left, q.T), left, q.T, rank)

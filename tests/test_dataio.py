@@ -370,6 +370,14 @@ class TestReadPanelCsv:
         with pytest.raises(BadParam):
             read_panel_csv(self._spec(tmp_path), "target", 6)
 
+    def test_fractional_pre_periods_is_rejected_not_truncated(self, tmp_path):
+        with pytest.raises(BadParam, match=r"^pre_periods=4\.5 must be an integer$"):
+            read_panel_csv(self._spec(tmp_path), "target", 4.5)
+
+    def test_fractional_target_index_is_rejected_not_truncated(self, tmp_path):
+        with pytest.raises(BadParam, match=r"^target=1\.7 must be an integer$"):
+            read_panel_csv(self._spec(tmp_path), 1.7, 4)
+
 
 def _small_model():
     rng = np.random.default_rng(11)

@@ -18,9 +18,12 @@ from eivpcr import (
     predict,
     svd,
 )
+from eivpcr.core import _svd_of_product
 from eivpcr.simlab import (
     Shift,
+    child,
     experiments,
+    gen_prob_pca,
     make_identification_trial,
     make_shift_trial,
     make_subspace_trial,
@@ -28,6 +31,7 @@ from eivpcr.simlab import (
     run_experiment_shift,
     run_experiment_subspace,
 )
+from eivpcr.simlab.generators import _prob_pca_factors
 
 _IDENT_KEYS = {
     "config", "p", "r", "n", "rescaled_n", "seed", "chosen_k",
@@ -39,6 +43,7 @@ class TestIdentificationTrial:
     def test_response_and_model_construction(self):
         trial = make_identification_trial(p=27, n=40, r=3, seed=5)
         assert trial.x_train.shape == (40, 27)
+        assert_array_equal(trial.x_train, gen_prob_pca(40, 27, 3, child(5, 27, 40)))
         assert trial.z_train.mask.all()          # no masking in this design
         assert not np.array_equal(trial.z_train.values, trial.x_train)
         # beta_star is the rowspan projection of the raw draw
@@ -96,12 +101,26 @@ class TestIdentificationRunner:
 
 class TestTrainFactors:
     def test_trials_keep_the_svd_of_x_train(self):
-        trials = [make_identification_trial(27, 40, 3, 5)]
-        trials += [*make_shift_trial(60, 0.3, 7).values(), *make_subspace_trial(60, 0.3, 7)]
+        # shift and subspace trials factor the n x p latent itself
+        trials = [*make_shift_trial(60, 0.3, 7).values(), *make_subspace_trial(60, 0.3, 7)]
         for trial in trials:
             want = svd(trial.x_train)
             assert_array_equal(trial.train_factors.singular_values, want.singular_values)
             assert_array_equal(trial.train_factors.right_vectors, want.right_vectors)
+
+    @pytest.mark.parametrize("p, n, r, seed", [(27, 40, 3, 5), (128, 600, 5, 1), (216, 7740, 6, 0)])
+    def test_identification_trial_factors_its_generating_factors(self, p, n, r, seed):
+        trial = make_identification_trial(p, n, r, seed)
+        x_r, q = _prob_pca_factors(n, p, r, child(seed, p, n))
+        got, want = trial.train_factors, _svd_of_product(x_r, q.T)
+        assert_array_equal(got.singular_values, want.singular_values)
+        assert_array_equal(got.left_vectors, want.left_vectors)
+        assert_array_equal(got.right_vectors, want.right_vectors)
+        # the dense factorization's top r triplets, to rounding
+        dense = svd(trial.x_train)
+        np.testing.assert_allclose(got.singular_values, dense.singular_values[:r], rtol=1e-13, atol=0)
+        v, w = got.right_vectors, dense.right_vectors[:, :r]
+        assert np.abs(v @ v.T - w @ w.T).max() <= 1e-12
 
     def test_shift_and_subspace_trials_share_one_factorization(self):
         # the test designs of a trial hold the very same factors object

@@ -93,6 +93,16 @@ class TestProbPca:
             gen_prob_pca(4, 3, 5, 0)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: gen_prob_pca(40.5, 27, 3, 0), "n=40.5"),
+    (lambda: gen_factor_uv(30, 20, 25.0, 3, r=4), "p=25.0"),
+    (lambda: gen_panel_ife(20, 5, 8, True, 0.1, 0), "r=True"),
+], ids=["gen_prob_pca", "gen_factor_uv", "gen_panel_ife"])
+def test_generators_reject_non_integer_dims_by_name(build, name):
+    with pytest.raises(BadParam, match=rf"^{name} must be an integer$"):
+        build()
+
+
 class TestFactorUv:
     def test_train_is_shared_across_shifts(self):
         # one n x p train latent for all four shifts, each with an m x p test

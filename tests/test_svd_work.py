@@ -4,7 +4,8 @@ point makes, which of them compute singular vectors, and on what shapes.
 Callers that read only the spectrum go through the values-only path, and the
 synthetic-controls inclusion check runs on k x p row factors instead of full
 reconstructions. The call counts themselves stay at 2/1/1/6 per CLI command
-and 3 per identification trial. A lab trial factors each input matrix at
+and 3 per identification trial, two of which run on r x r matrices built from
+the latent's generating factors. A lab trial factors each input matrix at
 most twice, once with vectors and once without: 9 calls per subspace trial
 and 11 per shift trial.
 """
@@ -124,10 +125,17 @@ def test_identification_trial_calls(lapack_calls):
     report = run_experiment_identification([8], [0])
     trials = len(report.records)
     assert trials == 8
-    # beta_star's projection and the fit factor x_train and z_train with
-    # vectors; the snr column reads x_train's spectrum alone
+    # beta_star's projection and the fit factor with vectors; the snr
+    # column reads a spectrum alone
     assert len(lapack_calls) == 3 * trials
     assert sum(1 for uv, _ in lapack_calls if uv) == 2 * trials
+    # the train side runs on r x r matrices, never on the n x p latent;
+    # only the fit factors an n x p matrix (z_train)
+    want = Counter()
+    for rec in report.records:
+        r = rec["r"]
+        want.update([(True, (r, r)), (False, (r, r)), (True, (rec["n"], rec["p"]))])
+    assert Counter(lapack_calls) == want
 
 
 @pytest.mark.parametrize("run, want", [

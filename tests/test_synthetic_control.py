@@ -76,6 +76,15 @@ class TestPanelDataset:
             with pytest.raises(BadParam):
                 PanelDataset(outcomes=MaskedMatrix.from_dense(vals), target_col=col, pre_periods=2)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("target_col", dict(target_col=0.9, pre_periods=2)),
+        ("pre_periods", dict(target_col=0, pre_periods=2.5)),
+    ])
+    def test_fractional_position_is_rejected_not_truncated(self, field, kwargs):
+        outcomes = MaskedMatrix.from_dense(np.ones((4, 3)))
+        with pytest.raises(BadParam, match=rf"^{field}=\d\.\d must be an integer$"):
+            PanelDataset(outcomes=outcomes, **kwargs)
+
     def test_missing_pre_target_rejected(self):
         vals = np.ones((4, 3))
         mask = np.ones((4, 3), dtype=bool)
