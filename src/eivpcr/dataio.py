@@ -13,11 +13,19 @@ with no fields). Each field is stripped of surrounding whitespace. A field
 equal to ``NA``, ``nan`` or the empty string is missing; any other field
 must be accepted by Python's ``float()`` (so ``1_000``, ``1e-320`` and
 non-ASCII decimal digits are numbers) and be finite. An error names the
-first ragged row or bad cell in file order.
+first ragged row or bad cell in file order. Files are decoded in the
+locale's encoding.
+
+A file whose data rows hold only ASCII numbers and ``NA`` cells, each row
+ended by ``\n``, is parsed by numpy's C reader behind byte-level guards
+instead; any file those guards do not admit, or that reader does not
+accept, goes through ``csv``. The grammar, the results (value bits, mask,
+labels) and the errors are the same on either route.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +48,14 @@ _NA_TOKENS = frozenset(("NA", "nan", ""))  # stripped fields read as missing
 # between the passes over them, large enough that per-block costs vanish.
 _BLOCK_CELLS = 1 << 16
 
+# The only bytes a data row may hold for the np.loadtxt route, and the
+# header bytes that csv treats specially (NUL is an error before 3.11).
+_PLAIN_BYTES = b"0123456789.eE+-,\nNA"
+_CSV_SPECIAL = frozenset(b'"\r\0')
+_COMMA, _NEWLINE, _N, _A = b",\nNA"
+# NA cells read as 0 through np.loadtxt; the mask then marks them missing
+_NA_AS_ZEROS = bytes.maketrans(b"NA", b"00")
+
 
 @dataclass(frozen=True)
 class CsvMatrixSpec:
@@ -56,18 +72,92 @@ def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     Cells equal to ``NA``, ``nan`` or "" (after stripping whitespace) are
     missing; every other cell must parse as a finite float. Row and column
     positions in errors are 1-based and count data rows only.
+
+    The file is read once, as bytes. A plain ASCII numeric file takes a
+    byte-level route through ``np.loadtxt`` (see :func:`_read_plain`), and
+    any other file, or any the guards there do not admit, the ``csv``
+    route. Both give the same value bits, mask and labels, and every error
+    (type, message, row, column) comes from the ``csv`` route.
     """
+    with open(spec.path, "rb") as f:
+        data = f.read()
+    plain = _read_plain(data, spec.has_header)
+    if plain is not None:
+        labels, values, mask = plain
+        return MaskedMatrix(values=values, mask=mask, col_labels=labels)
     try:
-        labels, blocks = _read_blocks(spec)
+        labels, blocks = _read_blocks(spec, data)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{spec.path}: not valid {exc.encoding} text ({exc.reason})") from None
     values, mask = (np.concatenate(parts) for parts in zip(*blocks))
     return MaskedMatrix(values=values, mask=mask, col_labels=labels)
 
 
-def _read_blocks(spec: CsvMatrixSpec):
+def _read_plain(data: bytes, has_header: bool):
+    r"""Labels, values and mask of a file whose bytes show that
+    ``np.loadtxt`` reads it as the ``csv`` route would; None for any other
+    file, which the ``csv`` route then reads or rejects.
+
+    The guards: a header is ASCII without quotes, ``\r`` or NUL, so ``csv``
+    splits it at its commas (ASCII decodes to itself in the locale's
+    encoding). Every data byte is in ``_PLAIN_BYTES``, every field is
+    non-empty and within ``csv``'s field size limit, and every ``N`` and
+    ``A`` belongs to an ``NA`` that is a whole field. Then rows end only at
+    ``\n``, no field holds quotes or whitespace, and every other field
+    holds only ``0-9 . e E + -``, which ``loadtxt`` parses as ``float()``
+    does: both call CPython's correctly rounded ``PyOS_string_to_double``.
+    A ragged row or a malformed number (``1e``, ``.``, ``--1``) makes
+    ``loadtxt`` raise, and an overflow (``1e400``) reads as an infinity;
+    either leaves the file to the ``csv`` route, which names the culprit.
+    """
+    labels = None
+    limit = csv.field_size_limit()
+    if has_header:
+        header, _, data = data.partition(b"\n")
+        if not 0 < len(header) <= limit or not header.isascii() or _CSV_SPECIAL & set(header):
+            return None
+        labels = tuple(tok.strip() for tok in header.decode("ascii").split(","))
+    body = data[:-1] if data.endswith(b"\n") else data
+    if not body or body.translate(None, _PLAIN_BYTES):
+        return None
+    a = np.frombuffer(body, dtype=np.uint8)
+    # field i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1
+    bounds = np.flatnonzero((a == _COMMA) | (a == _NEWLINE))
+    bounds = np.concatenate(([-1], bounds, [a.size]))
+    widths = np.diff(bounds) - 1
+    if widths.min() < 1 or widths.max() > limit:
+        return None
+    starts = bounds[:-1] + 1
+    na = a[starts] == _N
+    n_na = np.count_nonzero(na)
+    # every N starts a two-byte field that ends in A, and there is no other A
+    if (
+        n_na != np.count_nonzero(a == _N)
+        or n_na != np.count_nonzero(a == _A)
+        or (widths[na] != 2).any()
+        or (a[starts[na] + 1] != _A).any()
+    ):
+        return None
+    try:
+        values = np.loadtxt(
+            io.BytesIO(body.translate(_NA_AS_ZEROS)),
+            delimiter=",",
+            dtype=float,
+            ndmin=2,
+            comments=None,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or (labels is not None and len(labels) != values.shape[1]):
+        return None
+    mask = ~na.reshape(values.shape)
+    values[~mask] = np.nan
+    return labels, values, mask
+
+
+def _read_blocks(spec: CsvMatrixSpec, data: bytes):
     """Header labels (or None) and the parsed blocks of data rows."""
-    with open(spec.path, newline="") as f:
+    with io.TextIOWrapper(io.BytesIO(data), newline="") as f:
         reader = csv.reader(f)
         labels = None
         if spec.has_header:

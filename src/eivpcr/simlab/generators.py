@@ -150,8 +150,6 @@ def gen_panel_ife(n: int, m: int, p: int, r: int, sigma: float, seed) -> PanelTr
     target's noiseless post-treatment trajectory.
     """
     _check_dims(n=n, m=m, p=p, r=r)
-    if m < 1:
-        raise BadShape("need at least one post period")
     sigma = float(sigma)
     if not sigma >= 0:
         raise BadParam(f"sigma={sigma} must be >= 0")

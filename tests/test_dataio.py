@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import math
@@ -134,6 +135,71 @@ def _csv_cases(draw):
     return text, has_header
 
 
+_NUMBER_CHARS = "0123456789.eE+-"
+_PLAIN_ALPHABET = _NUMBER_CHARS + ",\nNA"
+
+# cells the np.loadtxt route reads, and cells that must send a file on to
+# the csv route (which accepts some, such as "", and rejects the rest)
+_PLAIN_CELLS = st.one_of(
+    st.sampled_from(["NA", "-0", "0", "5.", ".5", "+7", "1E5", "1e-400", "4.9e-324"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+_ODD_CELLS = [
+    "+NA", "-NA", "NANA", "1NA", "NA1", "N", "A", "AN", "1N", "N5", "5A", "1e400", "-1e400",
+    ".", "e5", "1e", "--1", "+", "",
+]
+_ODD_PLAIN_CELLS = st.sampled_from(_ODD_CELLS) | st.text(alphabet=_NUMBER_CHARS + "NA", max_size=6)
+
+
+@st.composite
+def _plain_cases(draw):
+    """(text, has_header) whose data bytes all come from the alphabet the
+    np.loadtxt route admits: a table of plain cells with at most one defect
+    (odd cells, a ragged row, a blank line, a trailing comma, an extra
+    final newline or a header of the wrong width), or raw text from that
+    alphabet."""
+    has_header = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    defect = draw(st.sampled_from(
+        [None, "cells", "cells", "cells", "ragged", "blank", "comma", "newline", "header", "raw"]
+    ))
+    if defect == "raw":
+        text = draw(st.text(alphabet=_PLAIN_ALPHABET, max_size=40))
+        width = len(text.partition("\n")[0].split(","))
+    else:
+        cells = draw(st.lists(st.lists(_PLAIN_CELLS, min_size=width, max_size=width),
+                              min_size=1, max_size=6))
+        row = draw(st.integers(0, len(cells) - 1))
+        if defect == "cells":
+            for _ in range(draw(st.integers(1, 2))):
+                cells[row][draw(st.integers(0, width - 1))] = draw(_ODD_PLAIN_CELLS)
+                row = draw(st.integers(0, len(cells) - 1))
+        elif defect == "ragged":
+            if width > 1 and draw(st.booleans()):
+                cells[row].pop()
+            else:
+                cells[row].append(draw(_PLAIN_CELLS))
+        rows = [",".join(r) for r in cells]
+        if defect == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), "")
+        elif defect == "comma":
+            rows[row] += ","
+        end = "\n\n" if defect == "newline" else draw(st.sampled_from(["\n", ""]))
+        text = "\n".join(rows) + end
+    if has_header:
+        labels = [f" u{j} " for j in range(width + (defect == "header"))]
+        text = ",".join(labels) + "\n" + text
+    return text, has_header
+
+
+def _route(spec):
+    """Which reader ran: "plain" (np.loadtxt) or "csv"."""
+    with mock.patch.object(dataio, "_read_blocks", wraps=dataio._read_blocks) as csv_route:
+        _outcome(read_masked_csv, spec)
+    return "csv" if csv_route.called else "plain"
+
+
 class TestReadMaskedCsv:
     def test_basic_grid_with_missing_cell(self, tmp_path):
         spec = _write(tmp_path / "m.csv", "1,2\n3,NA\n")
@@ -254,6 +320,81 @@ class TestReadMaskedCsv:
         expected = _outcome(_reference_read_masked_csv, spec)
         with mock.patch.object(dataio, "_BLOCK_CELLS", block):
             assert _outcome(read_masked_csv, spec) == expected
+
+    @settings(max_examples=300)
+    @given(case=_plain_cases())
+    def test_plain_alphabet_matches_reference_reader(self, tmp_path_factory, case):
+        text, has_header = case
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(text.encode())
+        spec = CsvMatrixSpec(path=str(path), has_header=has_header)
+        assert _outcome(read_masked_csv, spec) == _outcome(_reference_read_masked_csv, spec)
+
+    @pytest.mark.parametrize("cell", _ODD_CELLS)
+    def test_odd_cell_after_plain_rows_matches_reference_reader(self, tmp_path, cell):
+        # the first row starts with NA and the odd cell sits in row 2, so a
+        # guard that checks only where the data starts lets it through
+        for text in (f"NA,1\n2,{cell}\n", f"NA,1\n{cell},2", f"NA,1\n2,{cell},\n"):
+            spec = _write(tmp_path / "m.csv", text)
+            assert _route(spec) == "csv", text
+            assert _outcome(read_masked_csv, spec) == _outcome(_reference_read_masked_csv, spec)
+
+    @pytest.mark.parametrize("text, has_header, route", [
+        ("0.1,NA,-2.5\n1e-05,3.0,NA\nNA,-0.0,1.2345678901234567e+300\n", False, "plain"),
+        ("a,b\n1,NA\n-3,4.5", True, "plain"),
+        ("7\n", False, "plain"),
+        ("1,NA\r\n3,4\r\n", False, "csv"),
+        ('"a",b\n1,2\n', True, "csv"),
+        ("a,b\n1,2,3\n", True, "csv"),
+        ("1,NA\n+NA,4\n", False, "csv"),
+        ("1,2\n\n3,4\n", False, "csv"),
+        ("1,1e400\n", False, "csv"),
+        ("1,2\n3\n", False, "csv"),
+        ("a\0,b\n1,2\n", True, "csv"),
+    ], ids=["benchmark-format", "header", "one-cell", "crlf", "quoted-header",
+            "header-width-clash", "signed-na", "blank-line", "overflow", "ragged", "nul-header"])
+    def test_route_taken(self, tmp_path, text, has_header, route):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        spec = CsvMatrixSpec(path=str(path), has_header=has_header)
+        assert _route(spec) == route
+        assert _outcome(read_masked_csv, spec) == _outcome(_reference_read_masked_csv, spec)
+
+    def test_csv_field_size_limit_holds_on_either_route(self, tmp_path):
+        saved = csv.field_size_limit(8)
+        try:
+            for text, has_header in [("1.2345678,2\n", False), ("abcdefghi,b\n1,2\n", True)]:
+                path = tmp_path / "m.csv"
+                path.write_text(text)
+                spec = CsvMatrixSpec(path=str(path), has_header=has_header)
+                outcome = _outcome(read_masked_csv, spec)
+                assert outcome[0] is csv.Error
+                assert outcome == _outcome(_reference_read_masked_csv, spec)
+        finally:
+            csv.field_size_limit(saved)
+
+    def test_benchmark_style_file_takes_the_plain_route(self, tmp_path):
+        # shortest round-trip decimals with NaN written as NA, as the
+        # benchmark's input files are
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((20, 5)) * 10.0 ** rng.integers(-8, 8, (20, 5))
+        values[rng.random((20, 5)) < 0.2] = np.nan
+        lines = [",".join(map(repr, row)) for row in values.tolist()]
+        spec = _write(tmp_path / "z.csv", ("\n".join(lines) + "\n").replace("nan", "NA"))
+        assert _route(spec) == "plain"
+        m = read_masked_csv(spec)
+        assert 0 < np.count_nonzero(~m.mask) < m.mask.size
+        assert_array_equal(m.mask, ~np.isnan(values))
+        assert m.values.tobytes() == values.tobytes()
+
+    def test_file_is_opened_once_on_either_route(self, tmp_path):
+        # a pipe can be read only once, so the csv route reuses the bytes
+        for text in ("1,NA\n3,4\n", "1, NA\n3,4\n"):
+            spec = _write(tmp_path / "m.csv", text)
+            with mock.patch.object(builtins, "open", wraps=builtins.open) as opened:
+                m = read_masked_csv(spec)
+            assert opened.call_count == 1
+            assert_array_equal(m.mask, [[True, False], [True, True]])
 
     def test_undecodable_bytes_are_a_parse_error(self, tmp_path):
         path = tmp_path / "bad.csv"

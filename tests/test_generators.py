@@ -220,6 +220,10 @@ class TestPanelIfe:
         with pytest.raises(BadParam):
             gen_panel_ife(n=5, m=3, p=7, r=2, sigma=-0.1, seed=0)
 
+    def test_no_post_period_is_a_bad_shape(self):
+        with pytest.raises(BadShape, match=r"^m=0 must be >= 1$"):
+            gen_panel_ife(n=5, m=0, p=7, r=2, sigma=0.1, seed=0)
+
 
 class TestCorrupt:
     def test_identity_when_clean(self):
