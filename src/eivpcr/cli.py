@@ -6,7 +6,10 @@ Exit codes are a stable contract: 0 success, 2 input/usage errors,
 single JSON line; failures put a single JSON line on standard error with
 the exception class name as the machine-readable code. Tables are CSV by
 default (``--format json`` switches the table-emitting commands to a JSON
-array of row objects).
+array of row objects). Whenever numpy's bundled OpenBLAS is found, every
+command runs on one BLAS thread, so its outputs do not depend on the
+process's BLAS thread setting; ``blas_threads`` in the diagnostics line
+says which (``1``, or ``null`` when the library was not found).
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import _blas_threads, _single_threaded_blas
 from .core import _singular_values, rescale
 from .dataio import (
     CsvMatrixSpec,
@@ -34,7 +38,6 @@ from .errors import BadParam, DegenerateSpectrum, EivPcrError, NoConverge
 from .pcr import PredictionConfig, fit, predict_detailed
 from .rank_selection import gap_ratios, select_rank_largest_gap
 from .simlab.experiments import (
-    _trial_blas_threads,
     run_experiment_identification,
     run_experiment_shift,
     run_experiment_subspace,
@@ -69,7 +72,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # usage error (2) or --help (0)
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # the pin is released before an error is reported, so the caller's
+        # BLAS thread count comes back on every exit code
+        with _single_threaded_blas():
+            return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         _emit_error(type(exc).__name__, exc)
         return _EXIT_NUMERICAL
@@ -267,7 +273,6 @@ def cmd_experiment(args) -> int:
         "name": report.name,
         "trials": len(report.records),
         "threads": threads,
-        "blas_threads": _trial_blas_threads(),
         "out": str(out),
     })
     return 0
@@ -336,6 +341,7 @@ def _write_table(rows, path, fmt: str) -> None:
 
 
 def _emit(obj) -> None:
+    obj = {**obj, "blas_threads": _blas_threads()}
     sys.stdout.write(json.dumps(obj, default=json_default) + "\n")
 
 

@@ -233,7 +233,8 @@ def _raise_first_bad_cell(spec: CsvMatrixSpec, rows: list, width: int, first_row
 def write_masked_csv(matrix: MaskedMatrix, path) -> None:
     """Inverse of :func:`read_masked_csv`; missing cells become "NA"."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
+        # "\n" row ends keep the file on read_masked_csv's np.loadtxt route
+        writer = csv.writer(f, lineterminator="\n")
         if matrix.col_labels is not None:
             writer.writerow(matrix.col_labels)
         for vals, obs in zip(matrix.values, matrix.mask):

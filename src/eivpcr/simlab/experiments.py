@@ -4,10 +4,12 @@ and the subspace-inclusion ablation.
 Each runner sweeps a configuration grid over a list of seeds, fits on
 corrupted train data, and records per-trial metrics. Trials draw from
 disjoint counter-based streams keyed by (seed, configuration values) and,
-whenever numpy's bundled OpenBLAS is found, run on one BLAS thread. Reports
-are then bit-identical regardless of execution order, worker count or the
-process's BLAS thread setting. Without that library, trials run on the
-process's own BLAS threading, and their last bits may depend on it.
+whenever numpy's bundled OpenBLAS is found, run on one BLAS thread. The
+runners take that pin themselves, so library callers get it too; it is the
+same process-wide pin the CLI holds around every command. Reports are then
+bit-identical regardless of execution order, worker count or the process's
+BLAS thread setting. Without that library, trials run on the process's own
+BLAS threading, and their last bits may depend on it.
 Every trial factors its latent ``x_train`` once with vectors, kept as
 ``TrialData.train_factors`` (beta_star, ``leakage_ok``, ``leakage_bad``), and
 once values-only (``snr``; shift's ``snr_test_*`` take one per test latent).
@@ -19,17 +21,15 @@ The error columns come from the fit and predict SVDs of the corrupted designs.
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from statistics import fmean, pstdev
 
 import numpy as np
 
+from .._blas import _single_threaded_blas
 from ..core import _singular_values, _svd_of_product, svd
 from ..errors import BadParam
 from ..pcr import PredictionConfig, _inclusion_leakage, fit, predict
@@ -90,70 +90,6 @@ def _run_trials(trial_fn, keys, threads):
             return [trial_fn(*k) for k in keys]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda k: trial_fn(*k), keys))
-
-
-@functools.cache
-def _openblas():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None when it cannot be found. Looked up on first use, not at import."""
-    import ctypes
-    import glob
-
-    libs = os.path.dirname(np.__file__) + ".libs"
-    for pattern in ("libscipy_openblas*", "libopenblas*"):
-        for path in sorted(glob.glob(os.path.join(libs, pattern))):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            for prefix in ("scipy_openblas", "openblas"):
-                for suffix in ("64_", ""):
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                    put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                    if get is not None and put is not None:
-                        get.argtypes, get.restype = [], ctypes.c_int
-                        put.argtypes, put.restype = [ctypes.c_int], None
-                        return get, put
-    return None
-
-
-# OpenBLAS's thread count is process-wide, so every runner shares one pin
-_blas_lock = threading.Lock()
-_blas_users = 0     # runners inside _single_threaded_blas
-_blas_saved = None  # the count the first of them found
-
-
-@contextmanager
-def _single_threaded_blas():
-    """Run the body on one OpenBLAS thread, then restore the caller's count.
-
-    Nested and concurrent runners share the pin: the first to enter saves
-    the count, the last to leave restores it, also when a trial raises.
-    Without the bundled OpenBLAS the body runs unpinned.
-    """
-    global _blas_users, _blas_saved
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_saved = get()
-            put(1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                put(_blas_saved)
-
-
-def _trial_blas_threads():
-    """The BLAS thread count runners' trials run with, or None when unpinned."""
-    return None if _openblas() is None else 1
 
 
 def _resolve_threads(threads):

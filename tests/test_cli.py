@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eivpcr import MaskedMatrix, rescale, svd
+from eivpcr import MaskedMatrix, _blas, cli, rescale, svd
 from eivpcr.cli import _auto_k, main
 from eivpcr.simlab import experiments
 
@@ -60,7 +60,9 @@ class TestFit:
         )
         assert code == 0 and stderr == ""
         diag = diag_of(stdout)
-        assert set(diag) == {"command", "rho_hat", "k", "spectrum_top10", "gap_ratio", "out"}
+        assert set(diag) == {
+            "command", "rho_hat", "k", "spectrum_top10", "gap_ratio", "out", "blas_threads",
+        }
         assert diag["command"] == "fit"
         assert diag["rho_hat"] == 1.0
         assert diag["k"] == 3
@@ -405,7 +407,7 @@ class TestExperiment:
         assert d1.pop("out") != d2.pop("out")
         assert d1 == d2
         assert d1["trials"] == 2 and d1["threads"] == 1
-        assert d1["blas_threads"] == (None if experiments._openblas() is None else 1)
+        assert d1["blas_threads"] == (None if _blas._openblas() is None else 1)
         for name in ("trials.csv", "aggregates.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         doc = json.loads((tmp_path / "a" / "aggregates.json").read_text())
@@ -417,13 +419,13 @@ class TestExperiment:
         monkeypatch.setenv("EIV_PCR_THREADS", "2")
         _, out, _ = self._run(tmp_path, capsys, "shift", tmp_path / "par", extra=["--noise", "0.3"])
         assert diag_of(out)["threads"] == 2
-        assert diag_of(out)["blas_threads"] == (None if experiments._openblas() is None else 1)
+        assert diag_of(out)["blas_threads"] == (None if _blas._openblas() is None else 1)
         assert (tmp_path / "serial" / "trials.csv").read_bytes() == (
             tmp_path / "par" / "trials.csv"
         ).read_bytes()
 
     def test_diagnostics_report_unpinned_blas(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)
         code, out, _ = self._run(tmp_path, capsys, "subspace", tmp_path / "x")
         assert code == 0
         assert diag_of(out)["blas_threads"] is None
@@ -431,7 +433,7 @@ class TestExperiment:
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # on the process's own BLAS threading, p=128 with seed 0 differs in
         # its last bits between the first two settings
-        if experiments._openblas() is None:
+        if _blas._openblas() is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
         digests = []
         for blas, workers in (("1", "1"), ("2", "0"), ("1", "0"), ("2", "1")):
@@ -505,3 +507,118 @@ class TestExperiment:
         assert diag_of(stdout)["trials"] == 16
         header = (tmp_path / "ident" / "trials.csv").read_text().splitlines()[0]
         assert header.split(",")[0] == "config"
+
+
+def _blas_sensitive_files(tmp_path):
+    """Inputs on which every command's bytes, left on the process's BLAS
+    threading, differ between one and two OpenBLAS threads (numpy 2.4.6 with
+    its bundled OpenBLAS 0.3.31, 2-vCPU x86-64): 300x150 train and test
+    designs of rank 5 with about 20% and 30% of cells missing, and a 180x501
+    panel with 150 pre periods. They are the smallest such inputs found;
+    300x120 designs and 150x301 panels gave equal bytes on both settings."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((150, 5))
+    x = rng.standard_normal((300, 5)) @ v.T
+    x_test = rng.standard_normal((300, 5)) @ v.T
+    y = x @ rng.standard_normal(150) / np.sqrt(150) + 0.1 * rng.standard_normal(300)
+    z = x + 0.5 * rng.standard_normal(x.shape)
+    z[rng.random(z.shape) >= 0.8] = np.nan
+    z_test = x_test + 0.5 * rng.standard_normal(x_test.shape)
+    z_test[rng.random(z_test.shape) >= 0.7] = np.nan
+    latent = rng.standard_normal((180, 4)) @ rng.standard_normal((500, 4)).T
+    panel = np.column_stack([
+        latent @ rng.standard_normal(500) / np.sqrt(500) + 0.5 * rng.standard_normal(180),
+        latent + 0.5 * rng.standard_normal(latent.shape),
+    ])
+    panel[:, 1:][rng.random(latent.shape) < 0.1] = np.nan
+    return {
+        "z": write_csv(tmp_path / "z.csv", z),
+        "y": write_csv(tmp_path / "y.csv", y[:, None]),
+        "z_test": write_csv(tmp_path / "z_test.csv", z_test),
+        "panel": write_csv(tmp_path / "panel.csv", panel,
+                           ["target"] + [f"d{j}" for j in range(1, 501)]),
+    }
+
+
+class TestBlasPin:
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        if _blas._openblas() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        f = _blas_sensitive_files(tmp_path)
+        digests = {}
+        for blas in ("1", "2"):
+            out = tmp_path / f"blas{blas}"
+            out.mkdir()
+            commands = {
+                "model.json": ["fit", "--z", f["z"], "--y", f["y"], "--k", "auto",
+                               "--out", out / "model.json"],
+                # both settings predict from the one-thread model, so the
+                # predictions can differ only through predict's own work
+                "pred.csv": ["predict", "--model", tmp_path / "blas1" / "model.json",
+                             "--z-test", f["z_test"], "--ell", "same", "--out", out / "pred.csv"],
+                "spectrum.csv": ["spectrum", "--z", f["z"], "--out", out / "spectrum.csv"],
+                "trajectory.csv": ["sc", "--panel", f["panel"], "--target", "target",
+                                   "--pre", "150", "--out", out / "trajectory.csv"],
+            }
+            env = {**os.environ, "PYTHONPATH": _SRC, "OPENBLAS_NUM_THREADS": blas}
+            for argv in commands.values():
+                done = subprocess.run(
+                    [sys.executable, "-m", "eivpcr.cli", *map(str, argv)],
+                    env=env, check=True, capture_output=True, text=True, timeout=300,
+                )
+                assert diag_of(done.stdout)["blas_threads"] == 1
+            digests[blas] = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in commands
+            }
+        assert digests["1"] == digests["2"]
+
+    @pytest.mark.parametrize("exit_code", [0, 2, 3])
+    def test_main_restores_the_callers_thread_count(
+        self, tmp_path, identity_files, capsys, monkeypatch, blas_count, exit_code
+    ):
+        z, y = identity_files
+        if exit_code == 2:
+            z = tmp_path / "ghost.csv"
+        elif exit_code == 3:
+            z = write_csv(tmp_path / "rank1.csv", np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
+        seen = []
+        read = cli.read_masked_csv
+
+        def spy(spec):
+            seen.append(blas_count())
+            return read(spec)
+
+        monkeypatch.setattr(cli, "read_masked_csv", spy)
+        code, _, _ = run_cli(
+            ["fit", "--z", z, "--y", y, "--k", "3", "--out", tmp_path / "m.json"], capsys
+        )
+        assert code == exit_code
+        assert seen == [1]
+        assert blas_count() == 2
+
+    @pytest.mark.parametrize("found", [True, False], ids=["found", "not-found"])
+    def test_every_command_reports_blas_threads(
+        self, tmp_path, identity_files, capsys, monkeypatch, found
+    ):
+        expected = 1 if found and _blas._openblas() is not None else None
+        if not found:
+            monkeypatch.setattr(_blas, "_openblas", lambda: None)
+        z, y = identity_files
+        panel, _ = _panel_files(tmp_path)
+        model = tmp_path / "m.json"
+        commands = [
+            ["fit", "--z", z, "--y", y, "--k", "3", "--out", model],
+            ["predict", "--model", model, "--z-test", z, "--ell", "same",
+             "--out", tmp_path / "p.csv"],
+            ["spectrum", "--z", z, "--out", tmp_path / "s.csv"],
+            ["sc", "--panel", panel, "--target", "target", "--pre", "6",
+             "--out", tmp_path / "t.csv"],
+            ["experiment", "--name", "identification", "--p", "8", "--seeds", "1",
+             "--out", tmp_path / "exp"],
+        ]
+        for argv in commands:
+            code, stdout, _ = run_cli(argv, capsys)
+            assert code == 0
+            diag = diag_of(stdout)
+            assert diag["command"] == argv[0]
+            assert diag["blas_threads"] == expected

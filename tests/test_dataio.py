@@ -413,7 +413,9 @@ class TestWriteMaskedCsv:
         m = MaskedMatrix.from_dense(values, mask)
         path = tmp_path / "round.csv"
         write_masked_csv(m, path)
-        back = read_masked_csv(CsvMatrixSpec(path=str(path)))
+        spec = CsvMatrixSpec(path=str(path))
+        assert _route(spec) == "plain"
+        back = read_masked_csv(spec)
         assert_array_equal(back.mask, m.mask)
         assert_array_equal(back.values[back.mask], m.values[m.mask])
 
@@ -422,7 +424,9 @@ class TestWriteMaskedCsv:
         path = tmp_path / "lab.csv"
         write_masked_csv(m, path)
         assert path.read_text().splitlines()[0] == "u,v"
-        back = read_masked_csv(CsvMatrixSpec(path=str(path), has_header=True))
+        spec = CsvMatrixSpec(path=str(path), has_header=True)
+        assert _route(spec) == "plain"
+        back = read_masked_csv(spec)
         assert back.col_labels == ("u", "v")
 
 

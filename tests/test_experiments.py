@@ -18,6 +18,7 @@ from eivpcr import (
     predict,
     svd,
 )
+from eivpcr import _blas
 from eivpcr.core import _svd_of_product
 from eivpcr.simlab import (
     Shift,
@@ -343,28 +344,12 @@ class TestRunnerPath:
         )
 
 
-@pytest.fixture
-def blas_count():
-    """Reader of the process's OpenBLAS thread count, set to 2 (never more)
-    for the test and put back afterwards."""
-    found = experiments._openblas()
-    if found is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
-    get, put = found
-    saved = get()
-    put(2)
-    try:
-        yield get
-    finally:
-        put(saved)
-
-
 class TestSingleThreadedBlas:
     def test_lookup_is_not_made_at_import(self):
         code = (
             "import eivpcr.cli\n"
-            "from eivpcr.simlab import experiments\n"
-            "print(experiments._openblas.cache_info().currsize)\n"
+            "from eivpcr import _blas\n"
+            "print(_blas._openblas.cache_info().currsize)\n"
         )
         src = str(Path(experiments.__file__).resolve().parents[2])
         out = subprocess.run(
@@ -444,8 +429,8 @@ class TestSingleThreadedBlas:
 
     def test_runners_work_without_the_library(self, monkeypatch):
         pinned = run_experiment_identification([27], [0, 1])
-        monkeypatch.setattr(experiments, "_openblas", lambda: None)
-        assert experiments._trial_blas_threads() is None
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)
+        assert _blas._blas_threads() is None
         unpinned = run_experiment_identification([27], [0, 1], threads=2)
         assert len(unpinned.records) == len(pinned.records) == 16
         for a, b in zip(unpinned.records, pinned.records):
