@@ -35,9 +35,10 @@ class MaskedMatrix:
     Parameters
     ----------
     values : ndarray, shape (rows, cols)
-        Cell values; entries at unobserved positions are overwritten with NaN.
+        Cell values, never written to; stored as a fresh read-only C-ordered
+        array holding NaN at every unobserved position, whatever was there.
     mask : ndarray of bool, shape (rows, cols)
-        True where the cell is observed.
+        True where the cell is observed; stored as a fresh read-only copy.
     col_labels : tuple of str, optional
         Column names carried through CSV round trips.
     """
@@ -48,19 +49,18 @@ class MaskedMatrix:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool, order="C")
         if values.ndim != 2 or mask.ndim != 2:
             raise BadShape("values and mask must be 2-dimensional")
         if values.shape != mask.shape:
             raise BadShape(
                 f"values shape {values.shape} != mask shape {mask.shape}"
             )
-        if not np.all(np.isfinite(values[mask])):
+        values = np.where(mask, values, np.nan)
+        # exact: values is NaN, so not finite, wherever the mask is False
+        if np.count_nonzero(np.isfinite(values)) != np.count_nonzero(mask):
             raise NonFinite("observed cells must be finite")
-        values = values.copy()
-        values[~mask] = np.nan
         values.flags.writeable = False
-        mask = mask.copy()
         mask.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)

@@ -150,9 +150,7 @@ def _read_plain(data: bytes, has_header: bool):
         return None
     if not np.isfinite(values).all() or (labels is not None and len(labels) != values.shape[1]):
         return None
-    mask = ~na.reshape(values.shape)
-    values[~mask] = np.nan
-    return labels, values, mask
+    return labels, values, ~na.reshape(values.shape)
 
 
 def _read_blocks(spec: CsvMatrixSpec, data: bytes):
@@ -239,7 +237,7 @@ def write_masked_csv(matrix: MaskedMatrix, path) -> None:
             writer.writerow(matrix.col_labels)
         for vals, obs in zip(matrix.values, matrix.mask):
             writer.writerow(
-                [_fmt(v) if o else _NA_OUT for v, o in zip(vals, obs)]
+                [repr(float(v)) if o else _NA_OUT for v, o in zip(vals, obs)]
             )
 
 
@@ -297,8 +295,8 @@ def _resolve_unit(target, labels, cols: int) -> int:
 
 
 def write_model(model: PcrModel, path) -> None:
-    """Persist the fields that define predictions; the retained factors,
-    which only diagnostics read, are not serialized."""
+    """Persist the fields that define predictions; ``right_vectors``,
+    which only diagnostics read, is not serialized."""
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "k": model.k,
@@ -388,10 +386,6 @@ def json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _cell(v):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MaskedMatrix, SvdFactors, rescale, spectral_norm, svd
+from .core import MaskedMatrix, SvdFactors, _frozen, rescale, spectral_norm, svd
 from .errors import (
     BadParam,
     CorruptModel,
@@ -65,19 +65,19 @@ class PredictionConfig:
 class PcrModel:
     """A fitted estimator.
 
-    ``beta_hat`` lies in the span of the retained right singular vectors
-    and all retained singular values are strictly positive. ``retained``
-    holds the top-k factors of the rescaled train design; it is None on
-    models loaded from disk (the vectors are not serialized). Invariant
-    violations raise :class:`CorruptModel`, which is how tampered model
-    files surface on load.
+    ``beta_hat`` lies in the span of ``right_vectors`` (p x k, read-only),
+    the top-k right singular vectors of the rescaled train design, and the
+    retained ``singular_values`` are strictly positive. ``right_vectors`` is
+    None on models loaded from disk (the vectors are not serialized).
+    Invariant violations raise :class:`CorruptModel`, which is how tampered
+    model files surface on load.
     """
 
     beta_hat: np.ndarray
     k: int
     rho_hat: float
     singular_values: np.ndarray
-    retained: SvdFactors | None = field(default=None, repr=False)
+    right_vectors: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         beta = np.array(self.beta_hat, dtype=float).ravel()
@@ -99,13 +99,14 @@ class PcrModel:
         object.__setattr__(self, "singular_values", s)
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "rho_hat", rho)
-        if self.retained is not None:
-            vk = self.retained.right_vectors
+        if self.right_vectors is not None:
+            vk = _frozen(self.right_vectors)
             if vk.shape != (beta.size, int(self.k)):
-                raise CorruptModel("retained factors do not match beta_hat")
+                raise CorruptModel("right_vectors do not match beta_hat and k")
             residual = beta - vk @ (vk.T @ beta)
             if np.linalg.norm(residual) > _ROWSPAN_TOL * (1 + np.linalg.norm(beta)):
                 raise CorruptModel("beta_hat leaves the retained rowspan")
+            object.__setattr__(self, "right_vectors", vk)
 
     @property
     def p(self) -> int:
@@ -119,6 +120,9 @@ class Prediction:
     ``ell_effective`` is the truncation rank actually used; it drops below
     the requested rank when the test spectrum has fewer numerically positive
     values, which is legitimate for rank-deficient noiseless designs.
+    ``singular_values`` and ``right_vectors`` (p x ell_effective) are the
+    read-only top singular values and right vectors of the rescaled test
+    design.
     """
 
     y_hat: np.ndarray
@@ -126,7 +130,8 @@ class Prediction:
     ell: int
     ell_effective: int
     clamped: np.ndarray
-    factors: SvdFactors = field(repr=False)
+    singular_values: np.ndarray = field(repr=False)
+    right_vectors: np.ndarray = field(repr=False)
 
 
 def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
@@ -177,18 +182,14 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
             f"singular value {k} is {s[k - 1]:.3e}, numerically zero "
             f"relative to {s[0]:.3e}"
         )
-    u_k = factors.left_vectors[:, :k]
     v_k = factors.right_vectors[:, :k]
-    beta_hat = v_k @ ((u_k.T @ y) / s[:k])
-    retained = SvdFactors(
-        singular_values=s[:k], left_vectors=u_k, right_vectors=v_k
-    )
+    beta_hat = v_k @ ((factors.left_vectors[:, :k].T @ y) / s[:k])
     return PcrModel(
         beta_hat=beta_hat,
         k=k,
         rho_hat=rho_hat,
         singular_values=s[:k],
-        retained=retained,
+        right_vectors=v_k,
     )
 
 
@@ -209,14 +210,10 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
     rescaled, rho_hat_prime = rescale(z_test)
     factors = svd(rescaled)
     s = factors.singular_values
-    positive = int(np.count_nonzero(s > _RELATIVE_SPECTRUM_FLOOR * s[0])) if s[0] > 0 else 0
-    ell_eff = min(cfg.ell, positive)
-    if ell_eff == 0:
-        raw = np.zeros(z_test.rows)
-    else:
-        u = factors.left_vectors[:, :ell_eff]
-        v = factors.right_vectors[:, :ell_eff]
-        raw = u @ (s[:ell_eff] * (v.T @ model.beta_hat))
+    ell_eff = min(cfg.ell, int(np.count_nonzero(s > _RELATIVE_SPECTRUM_FLOOR * s[0])))
+    v = factors.right_vectors[:, :ell_eff]
+    # at ell_eff == 0 the empty product is a vector of +0.0
+    raw = factors.left_vectors[:, :ell_eff] @ (s[:ell_eff] * (v.T @ model.beta_hat))
     if cfg.bound is None:
         y_hat = raw
         clamped = np.zeros(raw.shape, dtype=bool)
@@ -229,7 +226,8 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
         ell=cfg.ell,
         ell_effective=ell_eff,
         clamped=clamped,
-        factors=factors,
+        singular_values=_frozen(s[:ell_eff]),
+        right_vectors=_frozen(v),
     )
 
 

@@ -124,11 +124,12 @@ def fit_rsc(panel: PanelDataset, k="auto") -> CounterfactualResult:
     Notes
     -----
     ``diagnostics["subspace_leakage"]`` is :func:`check_subspace_inclusion`
-    run on the row factors ``S_k V_k^T`` (k x p) of the retained train
-    factors and ``S_l V_l^T`` (l x p, l = ``ell_effective``) of the
-    denoised post block. They share singular values and right vectors with
-    the rank-k and rank-l reconstructions ``U S V^T``, so the statistic is
-    that of the reconstructions up to rounding, at a fraction of the cost.
+    run on the row factors ``S_k V_k^T`` (k x p) and ``S_l V_l^T`` (l x p,
+    l = ``ell_effective``), built from the ``singular_values`` and
+    ``right_vectors`` of the model and of the denoised post block. They
+    share singular values and right vectors with the rank-k and rank-l
+    reconstructions ``U S V^T``, so the statistic is that of the
+    reconstructions up to rounding, at a fraction of the cost.
     It is 0.0 when ``ell_effective`` is 0.
     """
     z_pre = panel.donors_pre()
@@ -145,18 +146,16 @@ def fit_rsc(panel: PanelDataset, k="auto") -> CounterfactualResult:
     model = fit(z_pre, y, k)
     pred = predict_detailed(model, z_post, PredictionConfig(ell=min(model.k, panel.m)))
 
-    s_test = pred.factors.singular_values
     ell = pred.ell_effective
     # row factors S V^T: the spectra and rowspaces of the rank-k and rank-ell
     # reconstructions U S V^T in k and ell rows instead of n and m
-    kept = model.retained
     leakage = check_subspace_inclusion(
-        kept.singular_values[:, None] * kept.right_vectors.T,
-        s_test[:ell, None] * pred.factors.right_vectors[:, :ell].T,
+        model.singular_values[:, None] * model.right_vectors.T,
+        pred.singular_values[:, None] * pred.right_vectors.T,
     )
 
-    if ell >= 1 and s_test[ell - 1] > 0:
-        snr_test = snr_report(s_test[ell - 1], pred.rho_hat_prime, panel.m, panel.p)
+    if ell >= 1:
+        snr_test = snr_report(pred.singular_values[-1], pred.rho_hat_prime, panel.m, panel.p)
     else:
         snr_test = 0.0
     diagnostics = {

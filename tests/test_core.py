@@ -74,6 +74,18 @@ class TestMaskedMatrix:
         with pytest.raises(BadShape):
             MaskedMatrix.from_dense(np.ones((2, 3)), col_labels=("a", "b"))
 
+    def test_caller_arrays_are_left_untouched(self):
+        values = np.array([[1.0, np.inf], [3.0, 4.0]])
+        mask = np.array([[True, False], [True, True]])
+        before = values.copy(), mask.copy()
+        m = MaskedMatrix(values=values, mask=mask)
+        assert_array_equal(values, before[0])
+        assert_array_equal(mask, before[1])
+        assert values.flags.writeable and mask.flags.writeable
+        assert not np.shares_memory(m.values, values)
+        assert not np.shares_memory(m.mask, mask)
+        assert np.isnan(m.values[0, 1])
+
     def test_arrays_are_read_only(self):
         m = MaskedMatrix.from_dense(np.ones((2, 2)))
         with pytest.raises(ValueError):

@@ -419,6 +419,17 @@ class TestWriteMaskedCsv:
         assert_array_equal(back.mask, m.mask)
         assert_array_equal(back.values[back.mask], m.values[m.mask])
 
+    def test_cells_are_shortest_round_trip_decimals(self, tmp_path):
+        m = MaskedMatrix.from_dense([[0.1, 7.0]], [[True, False]])
+        path = tmp_path / "short.csv"
+        write_masked_csv(m, path)
+        assert path.read_bytes() == b"0.1,NA\n"
+        spec = CsvMatrixSpec(path=str(path))
+        assert _route(spec) == "plain"
+        back = read_masked_csv(spec)
+        assert_array_equal(back.mask, m.mask)
+        assert back.values[0, 0] == 0.1
+
     def test_labels_written_back(self, tmp_path):
         m = MaskedMatrix.from_dense(np.eye(2), np.ones((2, 2), bool), col_labels=("u", "v"))
         path = tmp_path / "lab.csv"
@@ -592,7 +603,7 @@ class TestModelFiles:
             read_model(self._tamper(tmp_path, lambda d: d.__setitem__("rho_hat", 1.5)))
 
     def test_reread_model_predicts(self, tmp_path):
-        # retained factors are not stored, but the loaded model must still predict
+        # right vectors are not stored, but the loaded model must still predict
         from eivpcr import PredictionConfig, predict
 
         path = tmp_path / "model.json"
@@ -600,7 +611,8 @@ class TestModelFiles:
         write_model(model, path)
         back = read_model(path)
         assert isinstance(back, PcrModel)
-        assert back.retained is None
+        assert model.right_vectors is not None
+        assert back.right_vectors is None
         rng = np.random.default_rng(21)
         z_new = MaskedMatrix.from_dense(rng.standard_normal((5, 6)), np.ones((5, 6), bool))
         cfg = PredictionConfig(ell=2)

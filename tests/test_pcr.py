@@ -83,6 +83,28 @@ class TestFit:
         assert_allclose(model.beta_hat, v3 @ ((u3.T @ y) / s3), rtol=1e-12)
         assert model.rho_hat == rho
 
+    def test_right_vectors_are_the_retained_train_vectors(self):
+        rng = _rng(5)
+        z = MaskedMatrix.from_dense(rng.normal(size=(9, 6)), rng.uniform(size=(9, 6)) < 0.8)
+        model = fit(z, rng.normal(size=9), k=3)
+        assert model.right_vectors.shape == (6, 3)
+        assert not model.right_vectors.flags.writeable
+        assert_array_equal(model.right_vectors, svd(rescale(z)[0]).right_vectors[:, :3])
+
+    def test_fortran_ordered_input_matches_c_ordered(self):
+        rng = _rng(6)
+        vals = np.asfortranarray(rng.normal(size=(9, 6)))
+        mask = np.asfortranarray(rng.uniform(size=(9, 6)) < 0.8)
+        y = rng.normal(size=9)
+        f_order = MaskedMatrix(values=vals, mask=mask)
+        c_order = MaskedMatrix(values=np.ascontiguousarray(vals), mask=np.ascontiguousarray(mask))
+        for m in (f_order.values, f_order.mask):
+            assert m.flags.c_contiguous and not m.flags.writeable
+        f_model, c_model = fit(f_order, y, k=3), fit(c_order, y, k=3)
+        assert_array_equal(f_model.beta_hat, c_model.beta_hat)
+        cfg = PredictionConfig(ell=2)
+        assert_array_equal(predict(f_model, f_order, cfg), predict(c_model, c_order, cfg))
+
     def test_rowspan_membership(self):
         for seed in range(10):
             rng = _rng(seed)
@@ -238,7 +260,7 @@ class TestPredict:
             k=model.k,
             rho_hat=model.rho_hat,
             singular_values=model.singular_values,
-            retained=model.retained,
+            right_vectors=model.right_vectors,
         )
         z_test = MaskedMatrix.from_dense(rng.normal(size=(6, 5)))
         cfg = PredictionConfig(ell=2)
@@ -251,6 +273,11 @@ class TestPredict:
         z_test = MaskedMatrix.from_dense(np.outer(rng.normal(size=5), rng.normal(size=4)))
         pred = predict_detailed(model, z_test, PredictionConfig(ell=3))
         assert pred.ell == 3 and pred.ell_effective == 1
+        f = svd(rescale(z_test)[0])
+        assert_array_equal(pred.singular_values, f.singular_values[:1])
+        assert_array_equal(pred.right_vectors, f.right_vectors[:, :1])
+        for a in (pred.singular_values, pred.right_vectors):
+            assert not a.flags.writeable
         one = predict(model, z_test, PredictionConfig(ell=1))
         assert_allclose(pred.y_hat, one, rtol=1e-12)
 
@@ -345,16 +372,11 @@ class TestPcrModelInvariants:
 
     def test_beta_outside_retained_rowspan(self):
         f = svd(np.eye(3))
-        retained = type(f)(
-            singular_values=f.singular_values[:1],
-            left_vectors=f.left_vectors[:, :1],
-            right_vectors=f.right_vectors[:, :1],
-        )
-        with pytest.raises(CorruptModel):
+        with pytest.raises(CorruptModel, match="rowspan"):
             PcrModel(
                 beta_hat=[0.0, 1.0, 0.0],
                 k=1,
                 rho_hat=1.0,
                 singular_values=[1.0],
-                retained=retained,
+                right_vectors=f.right_vectors[:, :1],
             )

@@ -1,5 +1,8 @@
-"""The public surface, pinned: adding or removing an exported name fails
-here, so every change to it shows up in review."""
+"""The public surface, pinned: adding or removing an exported name, or a
+field of an exported dataclass, fails here, so every change to it shows up
+in this file's diff."""
+import dataclasses
+
 import pytest
 
 import eivpcr
@@ -35,3 +38,34 @@ def test_all_is_pinned_and_resolves(module, expected):
     assert sorted(module.__all__) == expected
     for name in module.__all__:
         assert getattr(module, name) is not None
+
+
+# field names, in declaration order, of every dataclass in either __all__
+_FIELDS = {
+    "CounterfactualResult": ["beta_hat", "trajectory", "diagnostics"],
+    "ExperimentReport": ["name", "records", "aggregates"],
+    "MaskedMatrix": ["values", "mask", "col_labels"],
+    "PanelDataset": ["outcomes", "target_col", "pre_periods"],
+    "PanelTrial": ["panel", "truth", "weights", "latent_donors"],
+    "PcrModel": ["beta_hat", "k", "rho_hat", "singular_values", "right_vectors"],
+    "Prediction": [
+        "y_hat", "rho_hat_prime", "ell", "ell_effective", "clamped",
+        "singular_values", "right_vectors",
+    ],
+    "PredictionConfig": ["ell", "bound"],
+    "SvdFactors": ["singular_values", "left_vectors", "right_vectors"],
+    "TrialData": [
+        "x_train", "beta_raw", "beta_star", "y", "z_train", "train_factors",
+        "x_test", "z_test", "theta_test",
+    ],
+}
+
+
+def test_dataclass_fields_are_pinned():
+    found = {}
+    for module in (eivpcr, eivpcr.simlab):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if dataclasses.is_dataclass(obj):
+                found[name] = [f.name for f in dataclasses.fields(obj)]
+    assert found == _FIELDS

@@ -18,6 +18,8 @@ from eivpcr import (
     fit_rsc,
     mean_squared_error,
     predict_detailed,
+    rescale,
+    svd,
     truncate_rank,
 )
 from eivpcr.simlab import gen_panel_ife
@@ -254,8 +256,8 @@ class TestLeakageOnRowFactors:
             model = fit(panel.donors_pre(), panel.target_pre(), k)
             pred = predict_detailed(model, panel.donors_post(), PredictionConfig(ell=k))
             want = check_subspace_inclusion(
-                truncate_rank(model.retained, k),
-                truncate_rank(pred.factors, pred.ell_effective),
+                truncate_rank(svd(rescale(panel.donors_pre())[0]), k),
+                truncate_rank(svd(rescale(panel.donors_post())[0]), pred.ell_effective),
             )
             got = result.diagnostics["subspace_leakage"]
             assert want > 1e-3  # noise leaks: the comparison is not 0 vs 0
