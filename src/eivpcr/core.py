@@ -131,23 +131,37 @@ class SvdFactors:
     right_vectors: np.ndarray
 
     def __post_init__(self):
-        s = _frozen(self.singular_values)
-        u = _frozen(self.left_vectors)
-        v = _frozen(self.right_vectors)
+        self._store(
+            np.array(self.singular_values, dtype=float),
+            np.array(self.left_vectors, dtype=float),
+            np.array(self.right_vectors, dtype=float),
+        )
+
+    @classmethod
+    def _of_fresh(cls, s, u, v) -> "SvdFactors":
+        """Factors over float arrays that no caller holds, such as LAPACK's
+        outputs: frozen in place, where the public constructor copies."""
+        factors = object.__new__(cls)
+        factors._store(s, u, v)
+        return factors
+
+    def _store(self, s, u, v):
         if s.ndim != 1 or u.ndim != 2 or v.ndim != 2:
             raise BadShape("factors must be (q,), (rows, q), (cols, q)")
         if u.shape[1] != s.shape[0] or v.shape[1] != s.shape[0]:
             raise BadShape("factor column counts must match len(singular_values)")
         if s.shape[0] and (np.any(s < 0) or np.any(np.diff(s) > 0)):
             raise BadShape("singular values must be nonincreasing and nonnegative")
-        object.__setattr__(self, "singular_values", s)
-        object.__setattr__(self, "left_vectors", u)
-        object.__setattr__(self, "right_vectors", v)
+        for name, a in (("singular_values", s), ("left_vectors", u), ("right_vectors", v)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
-def _apply_sign_convention(u: np.ndarray, vt: np.ndarray):
+def _apply_sign_convention(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Flip columns of ``u`` and rows of ``vt`` in place to :class:`SvdFactors`'
+    convention; returns the signs applied, one per column of ``u``."""
     if u.size == 0:
-        return
+        return np.ones(u.shape[1])
     mag = np.abs(u)
     # argmax returns the first True: among entries tied for the largest
     # magnitude in a column, the one with the lowest row index
@@ -155,6 +169,7 @@ def _apply_sign_convention(u: np.ndarray, vt: np.ndarray):
     sign = np.where(u[peak_rows, np.arange(u.shape[1])] < 0, -1.0, 1.0)
     u *= sign  # multiplying by 1.0 or -1.0 is exact
     vt *= sign[:, None]
+    return sign
 
 
 def svd(m) -> SvdFactors:
@@ -174,7 +189,7 @@ def svd(m) -> SvdFactors:
     """
     u, s, vt = _lapack_svd(m, full_matrices=False)
     _apply_sign_convention(u, vt)  # in place: LAPACK's outputs are ours
-    return SvdFactors(singular_values=s, left_vectors=u, right_vectors=vt.T)
+    return SvdFactors._of_fresh(s, u, vt.T)
 
 
 def _svd_of_product(left, right) -> SvdFactors:
@@ -195,7 +210,47 @@ def _svd_of_product(left, right) -> SvdFactors:
     u = q_l @ u
     vt = vt @ q_r.T
     _apply_sign_convention(u, vt)
-    return SvdFactors(singular_values=s, left_vectors=u, right_vectors=vt.T)
+    return SvdFactors._of_fresh(s, u, vt.T)
+
+
+def _small_side_svd(a: np.ndarray, rank, y=None):
+    """Top singular triplets of a dense n x p matrix from one QR and one SVD
+    of its small side; the n x p left factor is never formed.
+
+    Tall (n > p): ``qr(a, mode="r")`` gives the p x p factor R, whose SVD
+    gives the spectrum and V, and U_k = a V_k / s_k. Wide (n <= p):
+    ``qr(a.T, mode="r")``; the SVD of the n x n factor's transpose gives the
+    spectrum and U, and V_k = a^T U_k / s_k. ``rank(s)`` maps the whole
+    nonincreasing spectrum to the number k of triplets kept, and may raise.
+    :func:`svd`'s sign convention is applied to U_k.
+
+    Returns ``(s_k, u_k, v_k, uty)``, where uty is U_k^T y for a response
+    ``y`` and None without one. A tall ``a`` is then factorized as
+    ``[a | y]`` and uty taken from Q^T y, the stacked R's last column,
+    because the lifted U_k's rounding grows as s_1 / s_k. The triplets
+    agree with :func:`svd`'s top k to rounding, not bit for bit. Raises
+    what :func:`svd` raises.
+    """
+    n, p = a.shape
+    if n > p:
+        r = np.linalg.qr(a if y is None else np.column_stack((a, y)), mode="r")
+        u_r, s, vt = _lapack_svd(r[:p, :p], full_matrices=False)
+        k = rank(s)
+        s, vt = s[:k], vt[:k]
+        u = a @ vt.T
+        u /= s
+        uty = None if y is None else u_r[:, :k].T @ r[:p, p]
+    else:
+        u, s, _ = _lapack_svd(np.linalg.qr(a.T, mode="r").T, full_matrices=False)
+        k = rank(s)
+        s, u = s[:k], u[:, :k]
+        vt = u.T @ a
+        vt /= s[:, None]
+        uty = None if y is None else u.T @ y
+    sign = _apply_sign_convention(u, vt)
+    if uty is not None:
+        uty *= sign
+    return s, u, vt.T, uty
 
 
 def truncate_rank(f: SvdFactors, k: int) -> np.ndarray:

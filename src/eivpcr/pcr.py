@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MaskedMatrix, SvdFactors, _frozen, rescale, spectral_norm, svd
+from .core import MaskedMatrix, SvdFactors, _frozen, _small_side_svd, rescale, spectral_norm, svd
 from .errors import (
     BadParam,
     CorruptModel,
@@ -152,7 +152,11 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
     PcrModel
         With ``beta_hat = sum_{i<=k} (1/s_i) v_i u_i^T y`` computed on the
         rescaled design; equivalently the minimum-l2-norm least-squares
-        solution against its rank-k truncation.
+        solution against its rank-k truncation. The triplets come from a
+        QR of the rescaled design's small side and one SVD of the square
+        factor (``[Z | y]`` when n > p, which gives U^T y; Z^T otherwise),
+        so the n x p left vectors are never formed. ``beta_hat`` and the
+        spectrum agree with a dense SVD of the design to rounding.
 
     Raises
     ------
@@ -175,20 +179,21 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
     if not 1 <= k <= min(z.rows, z.cols):
         raise RankOutOfRange(f"k={k} outside [1, {min(z.rows, z.cols)}]")
     rescaled, rho_hat = rescale(z)
-    factors = svd(rescaled)
-    s = factors.singular_values
-    if s[k - 1] <= _RELATIVE_SPECTRUM_FLOOR * s[0]:
-        raise DegenerateSpectrum(
-            f"singular value {k} is {s[k - 1]:.3e}, numerically zero "
-            f"relative to {s[0]:.3e}"
-        )
-    v_k = factors.right_vectors[:, :k]
-    beta_hat = v_k @ ((factors.left_vectors[:, :k].T @ y) / s[:k])
+
+    def nondegenerate_k(s):
+        if s[k - 1] <= _RELATIVE_SPECTRUM_FLOOR * s[0]:
+            raise DegenerateSpectrum(
+                f"singular value {k} is {s[k - 1]:.3e}, numerically zero "
+                f"relative to {s[0]:.3e}"
+            )
+        return k
+
+    s_k, _, v_k, uty = _small_side_svd(rescaled, nondegenerate_k, y)
     return PcrModel(
-        beta_hat=beta_hat,
+        beta_hat=v_k @ (uty / s_k),
         k=k,
         rho_hat=rho_hat,
-        singular_values=s[:k],
+        singular_values=s_k,
         right_vectors=v_k,
     )
 
@@ -197,7 +202,11 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
     """Denoise a masked test design and apply the fitted coefficients.
 
     The test design is rescaled by its own observed fraction, truncated to
-    rank ``cfg.ell`` by a fresh SVD, and multiplied by ``model.beta_hat``.
+    rank ``cfg.ell`` and multiplied by ``model.beta_hat``. The truncation
+    comes from a QR of the rescaled design's small side and one SVD of the
+    square factor, as in :func:`fit`; the prediction is Z V V^T beta_hat
+    over the retained right vectors V (U S = Z V), so the left vectors of
+    the m x p design are never taken from LAPACK.
     Clamping, when ``cfg.bound`` is set, applies to the responses after
     denoised prediction, never to the coefficients.
     """
@@ -208,12 +217,12 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
             f"ell={cfg.ell} outside [1, {min(z_test.rows, z_test.cols)}]"
         )
     rescaled, rho_hat_prime = rescale(z_test)
-    factors = svd(rescaled)
-    s = factors.singular_values
-    ell_eff = min(cfg.ell, int(np.count_nonzero(s > _RELATIVE_SPECTRUM_FLOOR * s[0])))
-    v = factors.right_vectors[:, :ell_eff]
+    s, u, v, _ = _small_side_svd(
+        rescaled,
+        lambda s: min(cfg.ell, int(np.count_nonzero(s > _RELATIVE_SPECTRUM_FLOOR * s[0]))),
+    )
     # at ell_eff == 0 the empty product is a vector of +0.0
-    raw = factors.left_vectors[:, :ell_eff] @ (s[:ell_eff] * (v.T @ model.beta_hat))
+    raw = u @ (s * (v.T @ model.beta_hat))
     if cfg.bound is None:
         y_hat = raw
         clamped = np.zeros(raw.shape, dtype=bool)
@@ -224,9 +233,9 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
         y_hat=y_hat,
         rho_hat_prime=rho_hat_prime,
         ell=cfg.ell,
-        ell_effective=ell_eff,
+        ell_effective=s.shape[0],
         clamped=clamped,
-        singular_values=_frozen(s[:ell_eff]),
+        singular_values=_frozen(s),
         right_vectors=_frozen(v),
     )
 

@@ -10,6 +10,7 @@ from eivpcr import (
     NoConverge,
     NonFinite,
     RankOutOfRange,
+    SvdFactors,
     estimate_rho,
     rescale,
     spectral_norm,
@@ -242,6 +243,19 @@ class TestSvd:
     def test_non_2d_rejected(self):
         with pytest.raises(BadShape):
             svd(np.ones(4))
+
+    def test_fields_are_read_only_and_caller_arrays_are_copied(self):
+        rng = _rng(6)
+        product = _svd_of_product(rng.normal(size=(6, 2)), rng.normal(size=(5, 2)))
+        for f in (product, svd(rng.normal(size=(6, 4)))):
+            for a in (f.singular_values, f.left_vectors, f.right_vectors):
+                assert not a.flags.writeable
+        given = [np.array(a) for a in (f.singular_values, f.left_vectors, f.right_vectors)]
+        built = SvdFactors(*given)
+        for mine, kept in zip(given, (built.singular_values, built.left_vectors, built.right_vectors)):
+            assert mine.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(mine, kept)
+            assert_array_equal(mine, kept)
 
     def test_projector_idempotence(self):
         for seed in range(5):

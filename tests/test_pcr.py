@@ -31,6 +31,38 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _dense_fit(z, y, k):
+    """fit through a dense SVD of the whole rescaled design, the route the
+    small-side QR replaced: the top-k spectrum, right vectors and beta_hat."""
+    f = svd(rescale(z)[0])
+    s = f.singular_values
+    if s[k - 1] <= 1e-12 * s[0]:
+        raise DegenerateSpectrum(f"singular value {k}")
+    u, v = f.left_vectors[:, :k], f.right_vectors[:, :k]
+    return s[:k], v, v @ ((u.T @ np.asarray(y, dtype=float)) / s[:k])
+
+
+def _dense_predict(beta, z_test, ell):
+    """predict_detailed through a dense SVD of the whole rescaled test
+    design: the spectrum, right vectors and y_hat at ell_effective."""
+    f = svd(rescale(z_test)[0])
+    s = f.singular_values
+    ell = min(ell, int(np.count_nonzero(s > 1e-12 * s[0])))
+    u, v = f.left_vectors[:, :ell], f.right_vectors[:, :ell]
+    return s[:ell], v, u @ (s[:ell] * (v.T @ beta))
+
+
+def _assert_close_vector(got, want, rtol=1e-12):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+def _assert_same_right_vectors(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+    # the sign convention picked the same sign for every pair
+    assert np.all(np.sum(got * want, axis=0) > 0)
+
+
 def _rank2_instance(seed, n=8, p=5):
     """Noiseless rank-2 design with the true model inside its rowspan."""
     rng = _rng(seed)
@@ -86,10 +118,11 @@ class TestFit:
     def test_right_vectors_are_the_retained_train_vectors(self):
         rng = _rng(5)
         z = MaskedMatrix.from_dense(rng.normal(size=(9, 6)), rng.uniform(size=(9, 6)) < 0.8)
-        model = fit(z, rng.normal(size=9), k=3)
+        y = rng.normal(size=9)
+        model = fit(z, y, k=3)
         assert model.right_vectors.shape == (6, 3)
         assert not model.right_vectors.flags.writeable
-        assert_array_equal(model.right_vectors, svd(rescale(z)[0]).right_vectors[:, :3])
+        _assert_same_right_vectors(model.right_vectors, _dense_fit(z, y, 3)[1])
 
     def test_fortran_ordered_input_matches_c_ordered(self):
         rng = _rng(6)
@@ -273,9 +306,10 @@ class TestPredict:
         z_test = MaskedMatrix.from_dense(np.outer(rng.normal(size=5), rng.normal(size=4)))
         pred = predict_detailed(model, z_test, PredictionConfig(ell=3))
         assert pred.ell == 3 and pred.ell_effective == 1
-        f = svd(rescale(z_test)[0])
-        assert_array_equal(pred.singular_values, f.singular_values[:1])
-        assert_array_equal(pred.right_vectors, f.right_vectors[:, :1])
+        s, v, y_hat = _dense_predict(model.beta_hat, z_test, 3)
+        assert_allclose(pred.singular_values, s, rtol=1e-12)
+        _assert_same_right_vectors(pred.right_vectors, v)
+        _assert_close_vector(pred.y_hat, y_hat)
         for a in (pred.singular_values, pred.right_vectors):
             assert not a.flags.writeable
         one = predict(model, z_test, PredictionConfig(ell=1))
@@ -303,6 +337,75 @@ class TestPredict:
                 PredictionConfig(ell=ell)
         cfg = PredictionConfig(ell=np.int32(2))
         assert cfg.ell == 2 and type(cfg.ell) is int
+
+
+def _spread_design(n, p, seed, rank=None):
+    """Fully observed n x p design with singular values spread from 10 down
+    to 1 and, past ``rank``, exactly zero: well-separated triplets, so the
+    two routes' vectors are determined to rounding."""
+    rng = _rng(seed)
+    q = min(n, p)
+    s = 10.0 ** (1 - np.arange(q) / max(q - 1, 1))
+    s[q if rank is None else rank:] = 0.0
+    u = np.linalg.qr(rng.normal(size=(n, q)))[0]
+    v = np.linalg.qr(rng.normal(size=(p, q)))[0]
+    return MaskedMatrix.from_dense((u * s) @ v.T)
+
+
+# p - 1, p, p + 1, 2p and 30p rows for p = 12, then a wide block shaped
+# like a synthetic-controls pre block (fewer periods than donors)
+_REFERENCE_SHAPES = [(11, 12), (12, 12), (13, 12), (24, 12), (360, 12), (24, 60)]
+
+
+class TestDenseSvdReference:
+    """fit and predict_detailed agree with a dense SVD of the whole design:
+    beta_hat, predictions, spectra and right vectors within 1e-12 relative,
+    with the same sign for every retained pair."""
+
+    @pytest.mark.parametrize("n, p", _REFERENCE_SHAPES, ids=["p-1", "p", "p+1", "2p", "30p", "wide"])
+    @pytest.mark.parametrize("full_rank", [False, True], ids=["k3", "kmin"])
+    def test_fit_and_predict(self, n, p, full_rank):
+        z, z_test = _spread_design(n, p, 1), _spread_design(n, p, 2)
+        y = _rng(3).normal(size=n)
+        k = min(n, p) if full_rank else 3
+        model = fit(z, y, k)
+        s, v, beta = _dense_fit(z, y, k)
+        _assert_close_vector(model.beta_hat, beta)
+        assert_allclose(model.singular_values, s, rtol=1e-12)
+        _assert_same_right_vectors(model.right_vectors, v)
+
+        pred = predict_detailed(model, z_test, PredictionConfig(ell=k))
+        s, v, y_hat = _dense_predict(model.beta_hat, z_test, k)
+        assert pred.ell_effective == k
+        _assert_close_vector(pred.y_hat, y_hat)
+        assert_allclose(pred.singular_values, s, rtol=1e-12)
+        _assert_same_right_vectors(pred.right_vectors, v)
+
+    @pytest.mark.parametrize("m, ell, ell_eff", [
+        (1, 1, 1),  # one post period
+        (5, 4, 2),  # rank 2, wide
+        (40, 4, 2),  # rank 2, tall
+    ], ids=["one-row", "wide-rank2", "tall-rank2"])
+    def test_rank_deficient_and_one_row_test_designs(self, m, ell, ell_eff):
+        model = fit(_spread_design(24, 12, 4), _rng(5).normal(size=24), 4)
+        z_test = _spread_design(m, 12, 6, rank=2)
+        pred = predict_detailed(model, z_test, PredictionConfig(ell=ell))
+        s, v, y_hat = _dense_predict(model.beta_hat, z_test, ell)
+        assert pred.ell == ell and pred.ell_effective == s.shape[0] == ell_eff
+        _assert_close_vector(pred.y_hat, y_hat)
+        assert_allclose(pred.singular_values, s, rtol=1e-12)
+        _assert_same_right_vectors(pred.right_vectors, v)
+
+    @pytest.mark.parametrize("n, p", [(24, 12), (12, 12), (8, 12)], ids=["tall", "square", "wide"])
+    def test_degenerate_spectrum_at_the_same_k(self, n, p):
+        z = _spread_design(n, p, 7, rank=3)
+        y = _rng(8).normal(size=n)
+        _assert_close_vector(fit(z, y, 3).beta_hat, _dense_fit(z, y, 3)[2])
+        for k in range(4, min(n, p) + 1):
+            with pytest.raises(DegenerateSpectrum):
+                _dense_fit(z, y, k)
+            with pytest.raises(DegenerateSpectrum, match=f"^singular value {k} is "):
+                fit(z, y, k)
 
 
 class TestInSampleResiduals:

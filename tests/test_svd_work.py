@@ -1,13 +1,18 @@
-"""LAPACK work per command: how many ``numpy.linalg.svd`` calls each entry
-point makes, which of them compute singular vectors, and on what shapes.
+"""LAPACK work per command: how many ``numpy.linalg.svd`` and
+``numpy.linalg.qr`` calls each entry point makes, which SVDs compute
+singular vectors, and on what shapes.
 
-Callers that read only the spectrum go through the values-only path, and the
-synthetic-controls inclusion check runs on k x p row factors instead of full
-reconstructions. The call counts themselves stay at 2/1/1/6 per CLI command
-and 3 per identification trial, two of which run on r x r matrices built from
-the latent's generating factors. A lab trial factors each input matrix at
-most twice, once with vectors and once without: 9 calls per subspace trial
-and 11 per shift trial.
+``fit`` and ``predict_detailed`` factorize only the small side of the
+rescaled design: one ``qr(mode="r")`` of ``[Z | y]`` (tall fit), ``Z``
+(tall predict) or ``Z^T`` (wide), then one SVD of the square factor, so
+their SVDs with vectors run on min(n, p) x min(n, p) matrices. Callers that read only
+the spectrum go through the values-only path, and the synthetic-controls
+inclusion check runs on k x p row factors instead of full reconstructions.
+The SVD counts stay at 2/1/1/6 per CLI command and 3 per identification
+trial, two of which run on r x r matrices built from the latent's
+generating factors. A lab trial factors each input matrix at most twice,
+once with vectors and once without: 9 calls per subspace trial and 11 per
+shift trial.
 """
 import hashlib
 import json
@@ -20,33 +25,43 @@ from eivpcr.cli import main
 from eivpcr.simlab import run_experiment_identification, run_experiment_shift, run_experiment_subspace
 
 
-def _record_svd(monkeypatch, describe):
-    """Wrap numpy.linalg.svd to record (compute_uv, describe(input)) per call."""
+def _record(monkeypatch, name, describe):
+    """Wrap numpy.linalg.<name> to record describe(input, kwargs) per call."""
     calls = []
-    real = np.linalg.svd
+    real = getattr(np.linalg, name)
 
     def recording(a, *args, **kwargs):
-        calls.append((kwargs.get("compute_uv", True), describe(a)))
+        calls.append(describe(a, kwargs))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg, name, recording)
     return calls
 
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """Record (compute_uv, shape) of every numpy.linalg.svd call."""
-    return _record_svd(monkeypatch, np.shape)
+    return _record(monkeypatch, "svd", lambda a, kw: (kw.get("compute_uv", True), np.shape(a)))
 
 
 @pytest.fixture
 def lapack_inputs(monkeypatch):
     """Record (compute_uv, digest of the input bytes) of every
     numpy.linalg.svd call."""
-    return _record_svd(
+    return _record(
         monkeypatch,
-        lambda a: hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest(),
+        "svd",
+        lambda a, kw: (
+            kw.get("compute_uv", True),
+            hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest(),
+        ),
     )
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Record (mode, shape) of every numpy.linalg.qr call."""
+    return _record(monkeypatch, "qr", lambda a, kw: (kw.get("mode", "reduced"), np.shape(a)))
 
 
 def _write(path, array, header=None):
@@ -86,34 +101,49 @@ def _commands(f):
     }
 
 
-def test_cli_calls_per_command(tmp_path, lapack_calls, capsys):
-    # (calls, calls computing vectors) per command
-    want = {"fit": (2, 1), "predict": (1, 1), "spectrum": (1, 0), "sc": (6, 3)}
+def test_cli_calls_per_command(tmp_path, lapack_calls, qr_calls, capsys):
+    # fit's design is 120 x 40 (tall), predict's 30 x 40 (wide); sc's
+    # donor pre block is 30 x 25 (tall) and its post block 20 x 25 (wide)
+    want_svd = {"fit": (2, 1), "predict": (1, 1), "spectrum": (1, 0), "sc": (6, 3)}
+    want_qr = {
+        "fit": [("r", (120, 41))],  # [Z | y]
+        "predict": [("r", (40, 30))],  # Z^T
+        "spectrum": [],
+        "sc": [("r", (30, 26)), ("r", (25, 20))],
+    }
     for name, argv in _commands(_cli_inputs(tmp_path)).items():
         lapack_calls.clear()
+        qr_calls.clear()
         assert main(argv) == 0, name
         vectors = sum(1 for uv, _ in lapack_calls if uv)
-        assert (len(lapack_calls), vectors) == want[name], name
+        assert (len(lapack_calls), vectors) == want_svd[name], name
+        assert qr_calls == want_qr[name], name
     capsys.readouterr()
 
 
 def test_spectrum_only_callers_skip_vectors(tmp_path, lapack_calls, capsys):
     f = _cli_inputs(tmp_path)
-    for name in ("fit", "spectrum"):
+    want = {
+        # the spectrum read for rank selection comes first, values only;
+        # the fit's vectors come from the 40 x 40 factor of [Z | y]
+        "fit": [(False, (120, 40)), (True, (40, 40))],
+        "spectrum": [(False, (120, 40))],
+        # the wide test design's vectors come from the 30 x 30 factor of Z^T
+        "predict": [(True, (30, 30))],
+    }
+    for name, calls in want.items():
         lapack_calls.clear()
         assert main(_commands(f)[name]) == 0
-        # the spectrum read for rank selection or the table comes first
-        assert lapack_calls[0] == (False, (120, 40)), name
+        assert lapack_calls == calls, name
     capsys.readouterr()
 
 
 def test_sc_inclusion_check_runs_on_row_factors(tmp_path, lapack_calls, capsys):
     assert main(_commands(_cli_inputs(tmp_path))["sc"]) == 0
     k = json.loads(capsys.readouterr().out)["k"]
-    # auto spectrum (values), fit and predict (vectors) on the full blocks
-    assert [uv for uv, _ in lapack_calls[:3]] == [False, True, True]
-    assert lapack_calls[0][1] == lapack_calls[1][1] == (30, 25)
-    assert lapack_calls[2][1] == (20, 25)
+    # auto spectrum (values) of the 30 x 25 pre block, then fit and predict
+    # (vectors) on the small-side factors of the pre and 20 x 25 post blocks
+    assert lapack_calls[:3] == [(False, (30, 25)), (True, (25, 25)), (True, (20, 20))]
     # check_subspace_inclusion: train row factors (vectors), then the
     # residual's and the test row factors' spectral norms (values only)
     inclusion = lapack_calls[3:]
@@ -121,7 +151,7 @@ def test_sc_inclusion_check_runs_on_row_factors(tmp_path, lapack_calls, capsys):
     assert all(shape[0] <= k and shape[1] == 25 for _, shape in inclusion)
 
 
-def test_identification_trial_calls(lapack_calls):
+def test_identification_trial_calls(lapack_calls, qr_calls):
     report = run_experiment_identification([8], [0])
     trials = len(report.records)
     assert trials == 8
@@ -129,27 +159,35 @@ def test_identification_trial_calls(lapack_calls):
     # column reads a spectrum alone
     assert len(lapack_calls) == 3 * trials
     assert sum(1 for uv, _ in lapack_calls if uv) == 2 * trials
-    # the train side runs on r x r matrices, never on the n x p latent;
-    # only the fit factors an n x p matrix (z_train)
-    want = Counter()
+    assert len(qr_calls) == 3 * trials
+    # the train side runs on r x r matrices, never on the n x p latent,
+    # through QRs of the n x r and p x r generating factors; the fit
+    # factors only the small side of z_train, tall ([Z | y]) or wide (Z^T)
+    want_svd, want_qr = Counter(), Counter()
+    wide = 0
     for rec in report.records:
-        r = rec["r"]
-        want.update([(True, (r, r)), (False, (r, r)), (True, (rec["n"], rec["p"]))])
-    assert Counter(lapack_calls) == want
+        n, p, r = rec["n"], rec["p"], rec["r"]
+        wide += n <= p
+        want_svd.update([(True, (r, r)), (False, (r, r)), (True, (min(n, p),) * 2)])
+        want_qr.update([("reduced", (n, r)), ("reduced", (p, r)),
+                        ("r", (n, p + 1) if n > p else (p, n))])
+    assert 0 < wide < trials  # both routes run
+    assert Counter(lapack_calls) == want_svd
+    assert Counter(qr_calls) == want_qr
 
 
 @pytest.mark.parametrize("run, want", [
     # beta_star (vectors), fit, two predicts; snr; two inclusion checks'
     # spectral norms; the leakage reads the trial's kept train factors
-    (run_experiment_subspace, (9, 4)),
+    (run_experiment_subspace, (9, 4, 3)),
     # beta_star (vectors), fit, four predicts; train snr and four test snrs
-    (run_experiment_shift, (11, 6)),
+    (run_experiment_shift, (11, 6, 5)),
 ], ids=["subspace", "shift"])
-def test_lab_trial_factors_each_input_once_per_kind(lapack_inputs, run, want):
+def test_lab_trial_factors_each_input_once_per_kind(lapack_inputs, qr_calls, run, want):
     # noisy, so z_train and z_test differ from the latent matrices
     assert len(run([0.2], [0], 60).records) == 1
     vectors = sum(1 for uv, _ in lapack_inputs if uv)
-    assert (len(lapack_inputs), vectors) == want
+    # one QR per fit and per predict
+    assert (len(lapack_inputs), vectors, len(qr_calls)) == want
     # no matrix reaches LAPACK twice with vectors, or twice without
     assert max(Counter(lapack_inputs).values()) == 1
-
