@@ -1,8 +1,14 @@
-"""One process-wide pin of numpy's bundled OpenBLAS to a single thread.
+"""numpy's bundled OpenBLAS, found once, and one process-wide pin of it to
+a single thread.
 
 The CLI runs every command inside the pin, and the experiment runners run
 their trials inside it, so their outputs do not depend on the process's
 BLAS thread setting. Library calls outside them keep that setting.
+
+The same lookup binds the library's LAPACK ``dgeqrf``, which
+:func:`eivpcr.core._qr_r` calls through ``ctypes``: a ``ctypes.CDLL``
+call releases the GIL, where ``numpy.linalg.qr`` holds it on small
+matrices, and it runs the routine numpy's ``qr`` runs, with numpy's bits.
 """
 from __future__ import annotations
 
@@ -10,14 +16,26 @@ import functools
 import os
 import threading
 from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 
+class _OpenBlas(NamedTuple):
+    """Functions of numpy's bundled OpenBLAS."""
+
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    # ILP64 LAPACK dgeqrf taking c_int64 arguments; None when the library
+    # has no ILP64 symbol for it
+    dgeqrf: Callable | None
+
+
 @functools.cache
 def _openblas():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None when it cannot be found. Looked up on first use, not at import."""
+    """numpy's bundled OpenBLAS as an :class:`_OpenBlas`, or None when it
+    cannot be found. Looked up on first use, not at import, and only once
+    for the thread pin and ``dgeqrf`` together."""
     import ctypes
     import glob
 
@@ -35,7 +53,22 @@ def _openblas():
                     if get is not None and put is not None:
                         get.argtypes, get.restype = [], ctypes.c_int
                         put.argtypes, put.restype = [ctypes.c_int], None
-                        return get, put
+                        return _OpenBlas(get, put, _bind_dgeqrf(lib))
+    return None
+
+
+def _bind_dgeqrf(lib):
+    """``lib``'s ILP64 ``dgeqrf``, typed for ``ctypes``, or None."""
+    import ctypes
+
+    for name in ("scipy_dgeqrf_64_", "dgeqrf_64_"):
+        geqrf = getattr(lib, name, None)
+        if geqrf is not None:
+            # Fortran's by-reference M, N, A, LDA, TAU, WORK, LWORK, INFO
+            i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+            geqrf.argtypes = [i64, i64, ptr, i64, ptr, ptr, i64, i64]
+            geqrf.restype = None
+            return geqrf
     return None
 
 
@@ -58,7 +91,7 @@ def _single_threaded_blas():
     if blas is None:
         yield
         return
-    get, put = blas
+    get, put = blas.get_threads, blas.set_threads
     with _blas_lock:
         if _blas_users == 0:
             _blas_saved = get()

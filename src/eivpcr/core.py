@@ -5,10 +5,12 @@ every object in this module is safe to share across threads.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .errors import (
     AllMissing,
     BadShape,
@@ -213,16 +215,52 @@ def _svd_of_product(left, right) -> SvdFactors:
     return SvdFactors._of_fresh(s, u, vt.T)
 
 
+def _qr_r(f: np.ndarray) -> np.ndarray:
+    """R of the QR of ``f``, bit for bit ``numpy.linalg.qr(f, mode="r")``.
+
+    ``f`` is an m x n Fortran-ordered float array that the caller owns and
+    no longer needs: LAPACK's ``dgeqrf`` from numpy's bundled OpenBLAS
+    overwrites it, after a workspace query sized as numpy sizes it, and the
+    upper triangle of its first min(m, n) rows is returned. The call goes
+    through ``ctypes.CDLL``, so it releases the GIL, which numpy's ``qr``
+    holds on small matrices (min(m, n) <= 500 with numpy 2.4). Without the
+    bundled library this is ``numpy.linalg.qr(f, mode="r")``. Raises
+    BadShape unless ``f`` is a writeable 2-D Fortran-ordered float64 array.
+    """
+    if f.ndim != 2 or f.dtype != np.float64 or not (f.flags.f_contiguous and f.flags.writeable):
+        raise BadShape("_qr_r expects a writeable 2-D Fortran-ordered float64 array")
+    blas = _blas._openblas()
+    geqrf = None if blas is None else blas.dgeqrf
+    if geqrf is None:
+        return np.linalg.qr(f, mode="r")
+    m, n = f.shape
+    i64 = ctypes.c_int64
+    rows, cols, lda, info = i64(m), i64(n), i64(max(1, m)), i64(0)
+    tau = np.empty(max(1, min(m, n)))
+    query = np.empty(1)
+    geqrf(rows, cols, f.ctypes.data, lda, tau.ctypes.data, query.ctypes.data, i64(-1), info)
+    lwork = max(1, n, int(query[0]))
+    work = np.empty(lwork)
+    geqrf(rows, cols, f.ctypes.data, lda, tau.ctypes.data, work.ctypes.data, i64(lwork), info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dgeqrf argument {-info.value} is illegal")
+    return np.triu(f[:min(m, n)])
+
+
 def _small_side_svd(a: np.ndarray, rank, y=None):
     """Top singular triplets of a dense n x p matrix from one QR and one SVD
     of its small side; the n x p left factor is never formed.
 
-    Tall (n > p): ``qr(a, mode="r")`` gives the p x p factor R, whose SVD
-    gives the spectrum and V, and U_k = a V_k / s_k. Wide (n <= p):
-    ``qr(a.T, mode="r")``; the SVD of the n x n factor's transpose gives the
-    spectrum and U, and V_k = a^T U_k / s_k. ``rank(s)`` maps the whole
-    nonincreasing spectrum to the number k of triplets kept, and may raise.
+    Tall (n > p): the QR of ``a`` gives the p x p factor R, whose SVD gives
+    the spectrum and V, and U_k = a V_k / s_k. Wide (n <= p): the QR of
+    ``a.T``; the SVD of the n x n factor's transpose gives the spectrum and
+    U, and V_k = a^T U_k / s_k. ``rank(s)`` maps the whole nonincreasing
+    spectrum to the number k of triplets kept, and may raise.
     :func:`svd`'s sign convention is applied to U_k.
+
+    The QR runs in :func:`_qr_r` on one Fortran-ordered copy built in a
+    single pass (``[a | y]`` or ``a`` when tall, ``a.T`` when wide), so it
+    releases the GIL and its R has ``numpy.linalg.qr(mode="r")``'s bits.
 
     Returns ``(s_k, u_k, v_k, uty)``, where uty is U_k^T y for a response
     ``y`` and None without one. A tall ``a`` is then factorized as
@@ -233,7 +271,11 @@ def _small_side_svd(a: np.ndarray, rank, y=None):
     """
     n, p = a.shape
     if n > p:
-        r = np.linalg.qr(a if y is None else np.column_stack((a, y)), mode="r")
+        f = np.empty((n, p + (y is not None)), order="F")
+        f[:, :p] = a
+        if y is not None:
+            f[:, p] = y
+        r = _qr_r(f)
         u_r, s, vt = _lapack_svd(r[:p, :p], full_matrices=False)
         k = rank(s)
         s, vt = s[:k], vt[:k]
@@ -241,7 +283,8 @@ def _small_side_svd(a: np.ndarray, rank, y=None):
         u /= s
         uty = None if y is None else u_r[:, :k].T @ r[:p, p]
     else:
-        u, s, _ = _lapack_svd(np.linalg.qr(a.T, mode="r").T, full_matrices=False)
+        # a C-ordered a's transpose is F-contiguous: this is a memcpy
+        u, s, _ = _lapack_svd(_qr_r(np.array(a.T, order="F")).T, full_matrices=False)
         k = rank(s)
         s, u = s[:k], u[:, :k]
         vt = u.T @ a

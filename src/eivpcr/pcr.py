@@ -156,7 +156,10 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
         QR of the rescaled design's small side and one SVD of the square
         factor (``[Z | y]`` when n > p, which gives U^T y; Z^T otherwise),
         so the n x p left vectors are never formed. ``beta_hat`` and the
-        spectrum agree with a dense SVD of the design to rounding.
+        spectrum agree with a dense SVD of the design to rounding. The QR
+        is LAPACK's ``dgeqrf`` from numpy's bundled OpenBLAS, with
+        ``numpy.linalg.qr``'s bits, called so that it releases the GIL:
+        fits on other threads run beside it.
 
     Raises
     ------
@@ -204,9 +207,10 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
     The test design is rescaled by its own observed fraction, truncated to
     rank ``cfg.ell`` and multiplied by ``model.beta_hat``. The truncation
     comes from a QR of the rescaled design's small side and one SVD of the
-    square factor, as in :func:`fit`; the prediction is Z V V^T beta_hat
-    over the retained right vectors V (U S = Z V), so the left vectors of
-    the m x p design are never taken from LAPACK.
+    square factor, as in :func:`fit`, and the QR releases the GIL as there;
+    the prediction is Z V V^T beta_hat over the retained right vectors V
+    (U S = Z V), so the left vectors of the m x p design are never taken
+    from LAPACK.
     Clamping, when ``cfg.bound`` is set, applies to the responses after
     denoised prediction, never to the coefficients.
     """

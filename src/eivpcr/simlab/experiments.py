@@ -18,6 +18,10 @@ identification trial runs both on r x r matrices: its train factors come
 from the r x r core of the generating factors ``x_train = X_r Q``, and
 ``snr`` from the r x r matrix ``U_r^T x_train V_r`` of those factors.
 The error columns come from the fit and predict SVDs of the corrupted designs.
+Those take their small-side QR from LAPACK's ``dgeqrf`` outside the GIL
+(:func:`eivpcr.core._qr_r`), so the thread-pool workers overlap in it; only
+the ``_svd_of_product`` QRs of the n x r and p x r generating factors
+(r = round(p^(1/3))) stay in ``numpy.linalg.qr``.
 """
 from __future__ import annotations
 

@@ -19,7 +19,7 @@ def blas_count():
     found = _blas._openblas()
     if found is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
-    get, put = found
+    get, put = found.get_threads, found.set_threads
     saved = get()
     put(2)
     try:

@@ -572,6 +572,36 @@ class TestBlasPin:
             }
         assert digests["1"] == digests["2"]
 
+    def test_artifacts_do_not_depend_on_the_qr_route(self, tmp_path, capsys, monkeypatch):
+        # in process and pinned both times; only the small-side QR moves
+        # from the library's dgeqrf to numpy.linalg.qr
+        found = _blas._openblas()
+        if found is None or found.dgeqrf is None:
+            pytest.skip("numpy's bundled OpenBLAS has no ILP64 dgeqrf")
+        f = _blas_sensitive_files(tmp_path)
+        digests = {}
+        for route, loader in (("dgeqrf", lambda: found),
+                              ("numpy", lambda: found._replace(dgeqrf=None))):
+            monkeypatch.setattr(_blas, "_openblas", loader)
+            out = tmp_path / route
+            out.mkdir()
+            # a tall fit and predict (300 x 150); sc's 150 x 500 pre and
+            # 30 x 500 post blocks are wide
+            commands = {
+                "model.json": ["fit", "--z", f["z"], "--y", f["y"], "--k", "auto",
+                               "--out", out / "model.json"],
+                "pred.csv": ["predict", "--model", out / "model.json", "--z-test", f["z_test"],
+                             "--ell", "same", "--out", out / "pred.csv"],
+                "trajectory.csv": ["sc", "--panel", f["panel"], "--target", "target",
+                                   "--pre", "150", "--out", out / "trajectory.csv"],
+            }
+            for argv in commands.values():
+                assert run_cli(argv, capsys)[0] == 0
+            digests[route] = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in commands
+            }
+        assert digests["dgeqrf"] == digests["numpy"]
+
     @pytest.mark.parametrize("exit_code", [0, 2, 3])
     def test_main_restores_the_callers_thread_count(
         self, tmp_path, identity_files, capsys, monkeypatch, blas_count, exit_code

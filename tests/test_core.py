@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +19,14 @@ from eivpcr import (
     svd,
     truncate_rank,
 )
-from eivpcr.core import _apply_sign_convention, _singular_values, _svd_of_product
+from eivpcr import _blas
+from eivpcr.core import (
+    _apply_sign_convention,
+    _qr_r,
+    _singular_values,
+    _small_side_svd,
+    _svd_of_product,
+)
 
 # Philox(12345) uniforms < 0.8 on 1000x1000; counted once with
 # np.count_nonzero and frozen
@@ -432,3 +441,61 @@ def test_svd_of_product_with_a_rank_deficient_right_factor(n, p, seed):
     rank = np.linalg.matrix_rank(left @ q)
     assert rank < r
     _check_product_factors(_svd_of_product(left, q.T), left, q.T, rank)
+
+
+class TestQrR:
+    @pytest.mark.parametrize("a", [
+        np.random.default_rng(1).normal(size=(50, 7)),     # tall
+        np.random.default_rng(2).normal(size=(7, 50)),     # wide
+        np.random.default_rng(3).normal(size=(9, 9)),      # square
+        np.random.default_rng(4).normal(size=(1, 6)),
+        np.random.default_rng(5).normal(size=(6, 1)),
+        np.random.default_rng(6).normal(size=(300, 2)) @ np.ones((2, 40)),  # rank 2
+        np.column_stack((np.random.default_rng(7).normal(size=(700, 216)), np.ones(700))),  # [Z | y]
+    ], ids=["tall", "wide", "square", "1xp", "nx1", "rank2", "stacked"])
+    def test_matches_numpy_bit_for_bit(self, a):
+        want = np.linalg.qr(a, mode="r")
+        got = _qr_r(np.array(a, order="F"))
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(80, 12), (12, 80), (30, 30)])
+    @pytest.mark.parametrize("with_y", [True, False], ids=["y", "no-y"])
+    def test_small_side_svd_has_the_same_bits_without_the_library(self, shape, with_y, monkeypatch):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(shape[0], 4)) @ rng.normal(size=(4, shape[1]))
+        a += 0.1 * rng.normal(size=shape)
+        y = rng.normal(size=shape[0]) if with_y else None
+        found = _small_side_svd(a, lambda s: 4, y)
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)
+        fallback = _small_side_svd(a, lambda s: 4, y)
+        # (s_k, u_k, v_k, uty), with uty None without a response
+        assert [x if x is None else x.tobytes() for x in found] == [
+            x if x is None else x.tobytes() for x in fallback
+        ]
+
+    @pytest.mark.parametrize("f", [
+        np.ones((4, 3)),                        # C-ordered
+        np.ones((4, 3), dtype=np.float32, order="F"),
+        np.ones(4),
+        np.ones((8, 3), order="F")[::2],        # not contiguous
+    ], ids=["c-order", "float32", "1-d", "strided"])
+    def test_rejects_buffers_lapack_cannot_take_in_place(self, f):
+        with pytest.raises(BadShape):
+            _qr_r(f)
+
+    def test_rejects_a_read_only_buffer(self):
+        f = np.ones((4, 3), order="F")
+        f.flags.writeable = False
+        with pytest.raises(BadShape):
+            _qr_r(f)
+
+    def test_dgeqrf_releases_the_gil(self):
+        found = _blas._openblas()
+        if found is None or found.dgeqrf is None:
+            pytest.skip("numpy's bundled OpenBLAS has no ILP64 dgeqrf")
+        # a CDLL function; PyDLL's, which hold the GIL, carry PYTHONAPI
+        assert isinstance(found.dgeqrf, ctypes._CFuncPtr)
+        assert found.dgeqrf._flags_ & ctypes._FUNCFLAG_CDECL
+        assert not found.dgeqrf._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        assert all(t is ctypes.POINTER(ctypes.c_int64) for t in found.dgeqrf.argtypes[:2])

@@ -346,17 +346,22 @@ class TestRunnerPath:
 
 class TestSingleThreadedBlas:
     def test_lookup_is_not_made_at_import(self):
+        # one lazy lookup serves both the thread pin and core._qr_r's dgeqrf
         code = (
             "import eivpcr.cli\n"
-            "from eivpcr import _blas\n"
+            "import numpy as np\n"
+            "from eivpcr import _blas, core\n"
             "print(_blas._openblas.cache_info().currsize)\n"
+            "_blas._blas_threads()\n"
+            "core._qr_r(np.ones((3, 2), order='F'))\n"
+            "print(_blas._openblas.cache_info().misses)\n"
         )
         src = str(Path(experiments.__file__).resolve().parents[2])
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True, timeout=60,
         ).stdout
-        assert out.strip() == "0"
+        assert out.split() == ["0", "1"]
 
     def test_trials_see_one_thread_and_the_count_is_restored(self, blas_count):
         before = blas_count()

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,25 @@ class TestDenseSvdReference:
                 _dense_fit(z, y, k)
             with pytest.raises(DegenerateSpectrum, match=f"^singular value {k} is "):
                 fit(z, y, k)
+
+
+class TestFitPeakMemory:
+    @pytest.mark.parametrize("n, p", [(3000, 100), (1200, 300)])
+    def test_tall_fit_peaks_under_three_designs(self, n, p):
+        # the small-side QR factorizes one Fortran-ordered [Z | y] in place:
+        # no stacked copy beside numpy's own copies. Wide designs are left
+        # out: their transpose copy keeps them near 2.3-2.5 on every route
+        rng = _rng(8)
+        x = rng.standard_normal((n, 5)) @ rng.standard_normal((5, p))
+        z = MaskedMatrix(x + 0.1 * rng.standard_normal((n, p)), rng.random((n, p)) < 0.8)
+        y = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            fit(z, y, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * z.values.nbytes
 
 
 class TestInSampleResiduals:

@@ -1,26 +1,30 @@
-"""LAPACK work per command: how many ``numpy.linalg.svd`` and
-``numpy.linalg.qr`` calls each entry point makes, which SVDs compute
-singular vectors, and on what shapes.
+"""LAPACK work per command: how many ``numpy.linalg.svd`` calls and QRs
+each entry point makes, which SVDs compute singular vectors, and on what
+shapes.
 
 ``fit`` and ``predict_detailed`` factorize only the small side of the
-rescaled design: one ``qr(mode="r")`` of ``[Z | y]`` (tall fit), ``Z``
-(tall predict) or ``Z^T`` (wide), then one SVD of the square factor, so
-their SVDs with vectors run on min(n, p) x min(n, p) matrices. Callers that read only
-the spectrum go through the values-only path, and the synthetic-controls
-inclusion check runs on k x p row factors instead of full reconstructions.
-The SVD counts stay at 2/1/1/6 per CLI command and 3 per identification
-trial, two of which run on r x r matrices built from the latent's
-generating factors. A lab trial factors each input matrix at most twice,
-once with vectors and once without: 9 calls per subspace trial and 11 per
-shift trial.
+rescaled design: one QR in ``core._qr_r`` of ``[Z | y]`` (tall fit), ``Z``
+(tall predict) or ``Z^T`` (wide), recorded as ``numpy.linalg.qr(mode="r")``
+would see it, then one SVD of the square factor, so their SVDs with vectors
+run on min(n, p) x min(n, p) matrices. With numpy's bundled OpenBLAS found,
+that QR is LAPACK's ``dgeqrf`` called directly, never ``numpy.linalg.qr``.
+Callers that read only the spectrum go through the values-only path, and
+the synthetic-controls inclusion check runs on k x p row factors instead of
+full reconstructions. The SVD counts stay at 2/1/1/6 per CLI command and 3
+per identification trial, two of which run on r x r matrices built from the
+latent's generating factors through ``numpy.linalg.qr``'s reduced QRs. A lab
+trial factors each input matrix at most twice, once with vectors and once
+without: 9 calls per subspace trial and 11 per shift trial.
 """
 import hashlib
 import json
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from eivpcr import MaskedMatrix, PredictionConfig, _blas, core, fit, predict_detailed
 from eivpcr.cli import main
 from eivpcr.simlab import run_experiment_identification, run_experiment_shift, run_experiment_subspace
 
@@ -60,8 +64,29 @@ def lapack_inputs(monkeypatch):
 
 @pytest.fixture
 def qr_calls(monkeypatch):
-    """Record (mode, shape) of every numpy.linalg.qr call."""
-    return _record(monkeypatch, "qr", lambda a, kw: (kw.get("mode", "reduced"), np.shape(a)))
+    """Record (mode, shape) of every QR: ("r", shape) per ``core._qr_r``
+    call, the shape ``numpy.linalg.qr(mode="r")`` saw before that route,
+    and (mode, shape) per ``numpy.linalg.qr`` call made outside it."""
+    calls = []
+    inside = threading.local()
+    real_qr, real_qr_r = np.linalg.qr, core._qr_r
+
+    def qr(a, *args, **kwargs):
+        if not getattr(inside, "qr_r", False):
+            calls.append((kwargs.get("mode", "reduced"), np.shape(a)))
+        return real_qr(a, *args, **kwargs)
+
+    def qr_r(f):
+        calls.append(("r", f.shape))
+        inside.qr_r = True
+        try:
+            return real_qr_r(f)
+        finally:
+            inside.qr_r = False
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    monkeypatch.setattr(core, "_qr_r", qr_r)
+    return calls
 
 
 def _write(path, array, header=None):
@@ -191,3 +216,16 @@ def test_lab_trial_factors_each_input_once_per_kind(lapack_inputs, qr_calls, run
     assert (len(lapack_inputs), vectors, len(qr_calls)) == want
     # no matrix reaches LAPACK twice with vectors, or twice without
     assert max(Counter(lapack_inputs).values()) == 1
+
+
+def test_fit_and_predict_bypass_numpy_qr(monkeypatch):
+    found = _blas._openblas()
+    if found is None or found.dgeqrf is None:
+        pytest.skip("numpy's bundled OpenBLAS has no ILP64 dgeqrf")
+    modes = _record(monkeypatch, "qr", lambda a, kw: kw.get("mode", "reduced"))
+    draw = np.random.default_rng(4).standard_normal
+    fit(MaskedMatrix.from_dense(draw((60, 12))), draw(60), 3)  # tall
+    model = fit(MaskedMatrix.from_dense(draw((12, 30))), draw(12), 3)  # wide
+    for m in (50, 8):  # a tall and a wide test design
+        predict_detailed(model, MaskedMatrix.from_dense(draw((m, 30))), PredictionConfig(ell=3))
+    assert modes == []
