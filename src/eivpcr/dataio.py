@@ -16,11 +16,13 @@ non-ASCII decimal digits are numbers) and be finite. An error names the
 first ragged row or bad cell in file order. Files are decoded in the
 locale's encoding.
 
-A file whose data rows hold only ASCII numbers and ``NA`` cells, each row
-ended by ``\n``, is parsed by numpy's C reader behind byte-level guards
+A file whose data rows hold only ASCII numbers and missing cells written
+``NA``, ``nan`` or empty, with ``\n`` or ``\r\n`` line ends, ``,`` or ``, ``
+separators and an optionally quoted header (what R, ``np.savetxt`` and
+pandas write), is parsed by numpy's C reader behind byte-level guards
 instead; any file those guards do not admit, or that reader does not
-accept, goes through ``csv``. The grammar, the results (value bits, mask,
-labels) and the errors are the same on either route.
+accept, goes through ``csv`` one cell at a time. The grammar, the results
+(value bits, mask, labels) and the errors are the same on either route.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -39,19 +40,20 @@ from .errors import BadParam, CorruptModel, ParseError, Ragged, SchemaMismatch, 
 from .pcr import PcrModel, _rank
 from .synthetic_control import PanelDataset
 
+# the schema of a model without column labels; a model fitted on a
+# labelled design is written as schema 2, which adds "col_labels"
 MODEL_SCHEMA_VERSION = 1
+_LABELLED_SCHEMA_VERSION = 2
 
 _NA_OUT = "NA"
 _NA_TOKENS = frozenset(("NA", "nan", ""))  # stripped fields read as missing
 
-# Cells parsed per block: small enough that a block's strings stay in cache
-# between the passes over them, large enough that per-block costs vanish.
-_BLOCK_CELLS = 1 << 16
-
-# The only bytes a data row may hold for the np.loadtxt route, and the
-# header bytes that csv treats specially (NUL is an error before 3.11).
+# The only bytes a data row may hold for the np.loadtxt route; the others
+# it rewrites into them; and the header bytes csv treats specially (NUL is
+# an error before 3.11).
 _PLAIN_BYTES = b"0123456789.eE+-,\nNA"
-_CSV_SPECIAL = frozenset(b'"\r\0')
+_REWRITTEN_BYTES = frozenset(b"\r na")
+_CSV_SPECIAL = frozenset(b"\r\0")
 _COMMA, _NEWLINE, _N, _A = b",\nNA"
 # NA cells read as 0 through np.loadtxt; the mask then marks them missing
 _NA_AS_ZEROS = bytes.maketrans(b"NA", b"00")
@@ -67,67 +69,93 @@ class CsvMatrixSpec:
 
 
 def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
-    """Parse a rectangular CSV into observed values and a mask.
+    r"""Parse a rectangular CSV into observed values and a mask.
 
     Cells equal to ``NA``, ``nan`` or "" (after stripping whitespace) are
     missing; every other cell must parse as a finite float. Row and column
     positions in errors are 1-based and count data rows only.
 
-    The file is read once, as bytes. A plain ASCII numeric file takes a
-    byte-level route through ``np.loadtxt`` (see :func:`_read_plain`), and
-    any other file, or any the guards there do not admit, the ``csv``
-    route. Both give the same value bits, mask and labels, and every error
-    (type, message, row, column) comes from the ``csv`` route.
+    The file is read once, as bytes. A numeric ASCII file in a common
+    layout (``\n`` or ``\r\n`` line ends, ``,`` or ``, `` separators,
+    ``NA``, ``nan`` or empty missing cells, a quoted header) is parsed by
+    ``np.loadtxt`` (see :func:`_read_plain`); any other file, or any the
+    guards there do not admit, by a per-cell loop over ``csv`` rows. Both
+    give the same value bits, mask and labels, and every error (type,
+    message, row, column) comes from the ``csv`` loop.
     """
     with open(spec.path, "rb") as f:
         data = f.read()
     plain = _read_plain(data, spec.has_header)
-    if plain is not None:
-        labels, values, mask = plain
-        return MaskedMatrix(values=values, mask=mask, col_labels=labels)
-    try:
-        labels, blocks = _read_blocks(spec, data)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{spec.path}: not valid {exc.encoding} text ({exc.reason})") from None
-    values, mask = (np.concatenate(parts) for parts in zip(*blocks))
+    if plain is None:
+        return _read_csv(spec, data)
+    labels, values, mask = plain
     return MaskedMatrix(values=values, mask=mask, col_labels=labels)
 
 
 def _read_plain(data: bytes, has_header: bool):
     r"""Labels, values and mask of a file whose bytes show that
-    ``np.loadtxt`` reads it as the ``csv`` route would; None for any other
-    file, which the ``csv`` route then reads or rejects.
+    ``np.loadtxt`` reads it as the ``csv`` loop would; None for any other
+    file, which that loop then reads or rejects.
 
-    The guards: a header is ASCII without quotes, ``\r`` or NUL, so ``csv``
-    splits it at its commas (ASCII decodes to itself in the locale's
-    encoding). Every data byte is in ``_PLAIN_BYTES``, every field is
-    non-empty and within ``csv``'s field size limit, and every ``N`` and
-    ``A`` belongs to an ``NA`` that is a whole field. Then rows end only at
+    The header ends at the first ``\n``, less one ``\r`` before it. It must
+    be ASCII without ``\r`` or NUL, and its labels are ``csv``'s own split
+    of that line, so quoted labels read as there; a quote left open past
+    the line, or any other ``csv.Error``, leaves the file to the loop.
+
+    Data bytes outside ``_PLAIN_BYTES`` must be ``\r``, space, ``n`` or
+    ``a``, and are then rewritten: ``\r\n`` to ``\n``, ``, `` to ``,`` and
+    ``nan`` to ``NA``, as ``csv`` reads a line end, strips a leading space
+    and reads a missing cell. An empty field gets an ``NA`` written in,
+    unless its line is wholly empty (``csv`` reads a row with no fields).
+    Then the guards: every byte is in ``_PLAIN_BYTES``, every field is
+    non-empty and within ``csv``'s field size limit less the two bytes a
+    rewrite strips at most (`` nan`` to ``NA``), and every ``N`` and ``A``
+    belongs to an ``NA`` that is a whole field. So rows end only at
     ``\n``, no field holds quotes or whitespace, and every other field
     holds only ``0-9 . e E + -``, which ``loadtxt`` parses as ``float()``
     does: both call CPython's correctly rounded ``PyOS_string_to_double``.
     A ragged row or a malformed number (``1e``, ``.``, ``--1``) makes
     ``loadtxt`` raise, and an overflow (``1e400``) reads as an infinity;
-    either leaves the file to the ``csv`` route, which names the culprit.
+    either leaves the file to the ``csv`` loop, which names the culprit.
     """
     labels = None
-    limit = csv.field_size_limit()
     if has_header:
         header, _, data = data.partition(b"\n")
-        if not 0 < len(header) <= limit or not header.isascii() or _CSV_SPECIAL & set(header):
+        header = header.removesuffix(b"\r")
+        if not header.isascii() or _CSV_SPECIAL & set(header):
             return None
-        labels = tuple(tok.strip() for tok in header.decode("ascii").split(","))
+        try:
+            [fields] = csv.reader([header.decode("ascii")], strict=True)
+        except csv.Error:
+            return None
+        labels = tuple(tok.strip() for tok in fields)
+    odd = data.translate(None, _PLAIN_BYTES)  # empty for plain files: no rewrite pass
+    if odd:
+        if not _REWRITTEN_BYTES.issuperset(odd):
+            return None
+        data = data.replace(b"\r\n", b"\n").replace(b", ", b",").replace(b"nan", b"NA")
+        if data.translate(None, _PLAIN_BYTES):
+            return None
     body = data[:-1] if data.endswith(b"\n") else data
-    if not body or body.translate(None, _PLAIN_BYTES):
+    if not body:
         return None
     a = np.frombuffer(body, dtype=np.uint8)
-    # field i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1
-    bounds = np.flatnonzero((a == _COMMA) | (a == _NEWLINE))
-    bounds = np.concatenate(([-1], bounds, [a.size]))
-    widths = np.diff(bounds) - 1
-    if widths.min() < 1 or widths.max() > limit:
+    while True:  # twice at most: again after filling empty fields
+        # field i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1
+        bounds = np.flatnonzero((a == _COMMA) | (a == _NEWLINE))
+        bounds = np.concatenate(([-1], bounds, [a.size]))
+        widths = np.diff(bounds) - 1
+        starts = bounds[:-1] + 1
+        empty = widths == 0
+        if not empty.any():
+            break
+        line_end = np.concatenate(([True], a[bounds[1:-1]] == _NEWLINE, [True]))
+        if (empty & line_end[:-1] & line_end[1:]).any():
+            return None
+        a = np.insert(a, np.repeat(starts[empty], 2), np.tile([_N, _A], np.count_nonzero(empty)))
+        body = a.tobytes()
+    if widths.max() > csv.field_size_limit() - 2:
         return None
-    starts = bounds[:-1] + 1
     na = a[starts] == _N
     n_na = np.count_nonzero(na)
     # every N starts a two-byte field that ends in A, and there is no other A
@@ -153,85 +181,53 @@ def _read_plain(data: bytes, has_header: bool):
     return labels, values, ~na.reshape(values.shape)
 
 
-def _read_blocks(spec: CsvMatrixSpec, data: bytes):
-    """Header labels (or None) and the parsed blocks of data rows."""
+def _read_csv(spec: CsvMatrixSpec, data: bytes) -> MaskedMatrix:
+    """The ``csv`` route: rows from ``csv.reader``, then a loop over cells
+    that raises for the first ragged row or bad cell in file order."""
     with io.TextIOWrapper(io.BytesIO(data), newline="") as f:
-        reader = csv.reader(f)
-        labels = None
-        if spec.has_header:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{spec.path}: empty file, expected a header row")
-            labels = tuple(tok.strip() for tok in header)
-        first = next(reader, None)
-        if first is None:
-            raise ParseError(f"{spec.path}: no data rows")
-        width = len(first)
-        if labels is not None and len(labels) != width:
-            raise Ragged(
-                f"{spec.path}: header has {len(labels)} fields, first data row has {width}"
-            )
-        reader = chain([first], reader)
-        block_rows = max(1, _BLOCK_CELLS // max(width, 1))
-        blocks = []
-        while rows := list(islice(reader, block_rows)):
-            blocks.append(_parse_block(spec, rows, width, first_row=1 + len(blocks) * block_rows))
-    return labels, blocks
-
-
-def _parse_block(spec: CsvMatrixSpec, rows: list, width: int, first_row: int):
-    """Values (NaN where missing) and mask of consecutive data rows, each
-    step one pass over the whole block."""
-    if set(map(len, rows)) != {width}:
-        _raise_first_bad_cell(spec, rows, width, first_row)
-    tokens = list(map(str.strip, chain.from_iterable(rows)))
-    mask = ~np.fromiter(map(_NA_TOKENS.__contains__, tokens), dtype=bool, count=len(tokens))
-    try:
-        # the mask's bytes are 0/1 selectors, one per token in file order
-        observed = np.array(list(compress(tokens, mask.tobytes())), dtype=float)
-    except ValueError:
-        _raise_first_bad_cell(spec, rows, width, first_row)
-        raise
-    if not np.isfinite(observed).all():
-        _raise_first_bad_cell(spec, rows, width, first_row)
-    values = np.full(len(tokens), np.nan)
-    values[mask] = observed
-    shape = (len(rows), width)
-    return values.reshape(shape), mask.reshape(shape)
-
-
-def _raise_first_bad_cell(spec: CsvMatrixSpec, rows: list, width: int, first_row: int) -> None:
-    """Raise the error for the first ragged row or bad cell in file order.
-
-    Runs only after a block-level check has failed, to name the culprit.
-    """
-    for i, row in enumerate(rows, first_row):
+        try:
+            rows = list(csv.reader(f))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{spec.path}: not valid {exc.encoding} text ({exc.reason})") from None
+    labels = None
+    if spec.has_header:
+        if not rows:
+            raise ParseError(f"{spec.path}: empty file, expected a header row")
+        labels = tuple(tok.strip() for tok in rows.pop(0))
+    if not rows:
+        raise ParseError(f"{spec.path}: no data rows")
+    width = len(rows[0])
+    if labels is not None and len(labels) != width:
+        raise Ragged(f"{spec.path}: header has {len(labels)} fields, first data row has {width}")
+    values = []
+    for i, row in enumerate(rows, 1):
         if len(row) != width:
             raise Ragged(f"{spec.path}: row {i} has {len(row)} fields, expected {width}")
-        for j, tok in enumerate(row, 1):
-            tok = tok.strip()
+        for j, tok in enumerate(map(str.strip, row), 1):
             if tok in _NA_TOKENS:
+                values.append(math.nan)
                 continue
             try:
                 x = float(tok)
             except ValueError:
                 raise ParseError(
-                    f"{spec.path}: unreadable number {tok!r} at row {i}, column {j}",
-                    row=i,
-                    col=j,
+                    f"{spec.path}: unreadable number {tok!r} at row {i}, column {j}", row=i, col=j
                 ) from None
             if not math.isfinite(x):
                 raise ParseError(
-                    f"{spec.path}: non-finite value {tok!r} at row {i}, column {j}",
-                    row=i,
-                    col=j,
+                    f"{spec.path}: non-finite value {tok!r} at row {i}, column {j}", row=i, col=j
                 )
+            values.append(x)
+    # observed cells are finite, so NaN marks exactly the missing ones
+    values = np.array(values, dtype=float).reshape(len(rows), width)
+    return MaskedMatrix(values=values, mask=~np.isnan(values), col_labels=labels)
 
 
 def write_masked_csv(matrix: MaskedMatrix, path) -> None:
     """Inverse of :func:`read_masked_csv`; missing cells become "NA"."""
     with open(path, "w", newline="") as f:
-        # "\n" row ends keep the file on read_masked_csv's np.loadtxt route
+        # "\n" row ends and "NA" cells keep the file on read_masked_csv's
+        # np.loadtxt route without a rewrite pass
         writer = csv.writer(f, lineterminator="\n")
         if matrix.col_labels is not None:
             writer.writerow(matrix.col_labels)
@@ -296,7 +292,9 @@ def _resolve_unit(target, labels, cols: int) -> int:
 
 def write_model(model: PcrModel, path) -> None:
     """Persist the fields that define predictions; ``right_vectors``,
-    which only diagnostics read, is not serialized."""
+    which only diagnostics read, is not serialized. A model with column
+    labels is written as schema 2 with ``col_labels``; any other, as
+    schema 1."""
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "k": model.k,
@@ -304,6 +302,9 @@ def write_model(model: PcrModel, path) -> None:
         "beta_hat": [float(v) for v in model.beta_hat],
         "singular_values": [float(v) for v in model.singular_values],
     }
+    if model.col_labels is not None:
+        doc["schema_version"] = _LABELLED_SCHEMA_VERSION
+        doc["col_labels"] = list(model.col_labels)
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True)
         f.write("\n")
@@ -319,7 +320,8 @@ _MODEL_FIELDS = {
 
 
 def read_model(path) -> PcrModel:
-    """Load and re-validate a model written by :func:`write_model`.
+    """Load and re-validate a model written by :func:`write_model`, of
+    schema 1 or 2.
 
     Structural problems (missing or mistyped fields, wrong schema
     version) raise SchemaMismatch; documents that parse but violate model
@@ -337,20 +339,26 @@ def read_model(path) -> PcrModel:
             raise SchemaMismatch(f"{path}: missing field {field!r}")
         if not isinstance(doc[field], want) or isinstance(doc[field], bool):
             raise SchemaMismatch(f"{path}: field {field!r} has wrong type")
-    if doc["schema_version"] != MODEL_SCHEMA_VERSION:
+    if doc["schema_version"] not in (MODEL_SCHEMA_VERSION, _LABELLED_SCHEMA_VERSION):
         raise SchemaMismatch(
             f"{path}: schema_version {doc['schema_version']} unsupported "
-            f"(expected {MODEL_SCHEMA_VERSION})"
+            f"(expected {MODEL_SCHEMA_VERSION} or {_LABELLED_SCHEMA_VERSION})"
         )
     for field in ("beta_hat", "singular_values"):
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc[field]):
             raise SchemaMismatch(f"{path}: field {field!r} must hold numbers")
+    labels = None
+    if doc["schema_version"] == _LABELLED_SCHEMA_VERSION:
+        labels = doc.get("col_labels")
+        if not isinstance(labels, list) or not all(isinstance(c, str) for c in labels):
+            raise SchemaMismatch(f"{path}: schema 2 needs 'col_labels', a list of strings")
     try:
         return PcrModel(
             beta_hat=np.asarray(doc["beta_hat"], dtype=float),
             k=doc["k"],
             rho_hat=float(doc["rho_hat"]),
             singular_values=np.asarray(doc["singular_values"], dtype=float),
+            col_labels=labels,
         )
     except CorruptModel:
         raise

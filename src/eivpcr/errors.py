@@ -72,7 +72,8 @@ class TargetMissingPre(EivPcrError):
 
 
 class SchemaMismatch(EivPcrError):
-    """A model document is structurally not what this version writes."""
+    """A model document is structurally not what this version writes, or a
+    test design's column labels do not match the model's."""
 
 
 class CorruptModel(EivPcrError):

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateSpectrum,
     NonFinite,
     RankOutOfRange,
+    SchemaMismatch,
     ShapeMismatch,
 )
 
@@ -69,8 +70,11 @@ class PcrModel:
     the top-k right singular vectors of the rescaled train design, and the
     retained ``singular_values`` are strictly positive. ``right_vectors`` is
     None on models loaded from disk (the vectors are not serialized).
-    Invariant violations raise :class:`CorruptModel`, which is how tampered
-    model files surface on load.
+    ``col_labels`` names the train design's columns, one per coefficient,
+    when that design had labels; :func:`predict_detailed` then matches test
+    columns to coefficients by name. Invariant violations raise
+    :class:`CorruptModel`, which is how tampered model files surface on
+    load.
     """
 
     beta_hat: np.ndarray
@@ -78,6 +82,7 @@ class PcrModel:
     rho_hat: float
     singular_values: np.ndarray
     right_vectors: np.ndarray | None = field(default=None, repr=False)
+    col_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         beta = np.array(self.beta_hat, dtype=float).ravel()
@@ -107,6 +112,11 @@ class PcrModel:
             if np.linalg.norm(residual) > _ROWSPAN_TOL * (1 + np.linalg.norm(beta)):
                 raise CorruptModel("beta_hat leaves the retained rowspan")
             object.__setattr__(self, "right_vectors", vk)
+        if self.col_labels is not None:
+            labels = tuple(str(c) for c in self.col_labels)
+            if len(labels) != beta.size:
+                raise CorruptModel(f"{len(labels)} column labels for {beta.size} coefficients")
+            object.__setattr__(self, "col_labels", labels)
 
     @property
     def p(self) -> int:
@@ -198,6 +208,7 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
         rho_hat=rho_hat,
         singular_values=s_k,
         right_vectors=v_k,
+        col_labels=z.col_labels,
     )
 
 
@@ -213,9 +224,19 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
     from LAPACK.
     Clamping, when ``cfg.bound`` is set, applies to the responses after
     denoised prediction, never to the coefficients.
+
+    When both the model and ``z_test`` carry column labels, test columns are
+    matched to coefficients by label: columns in another order are permuted
+    into the model's, which gives the same-order result bit for bit. Labels
+    equal in order are used as they are; otherwise a label that is missing
+    or repeated on either side raises :class:`SchemaMismatch`. When either
+    side has no labels, columns are matched by position.
     """
     if z_test.cols != model.p:
         raise ShapeMismatch(f"test design has {z_test.cols} columns, model has {model.p}")
+    labels = model.col_labels
+    if labels is not None and z_test.col_labels is not None and z_test.col_labels != labels:
+        z_test = _in_label_order(z_test, labels)
     if cfg.ell > min(z_test.rows, z_test.cols):
         raise RankOutOfRange(
             f"ell={cfg.ell} outside [1, {min(z_test.rows, z_test.cols)}]"
@@ -242,6 +263,20 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
         singular_values=_frozen(s),
         right_vectors=_frozen(v),
     )
+
+
+def _in_label_order(z: MaskedMatrix, labels: tuple[str, ...]) -> MaskedMatrix:
+    """``z`` with its columns permuted into the order of ``labels``."""
+    for names, side in ((labels, "model"), (z.col_labels, "test design")):
+        if len(set(names)) != len(names):
+            repeated = next(c for c in names if names.count(c) > 1)
+            raise SchemaMismatch(f"{side} column label {repeated!r} is repeated")
+    position = {c: j for j, c in enumerate(z.col_labels)}
+    missing = [c for c in labels if c not in position]
+    if missing:
+        raise SchemaMismatch(f"test design has no column labelled {missing[0]!r}")
+    order = [position[c] for c in labels]
+    return MaskedMatrix(values=z.values[:, order], mask=z.mask[:, order], col_labels=labels)
 
 
 def predict(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfig) -> np.ndarray:

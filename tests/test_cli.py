@@ -204,6 +204,55 @@ class TestPredict:
         assert error_of(stderr) == {"error": "UsageError", "message": message}
 
 
+class TestColumnLabels:
+    """A model fitted with --has-header matches test columns by label."""
+
+    def _fit(self, tmp_path, capsys):
+        rng = np.random.default_rng(40)
+        labels = ["a", "b", "c", "d", "e", "f"]
+        x = rng.standard_normal((30, 6))
+        x[rng.random(x.shape) < 0.1] = np.nan
+        z = write_csv(tmp_path / "z.csv", x, header=labels)
+        y = write_csv(tmp_path / "y.csv", rng.standard_normal((30, 1)))
+        model = tmp_path / "model.json"
+        code, _, _ = run_cli(
+            ["fit", "--z", z, "--y", y, "--k", "3", "--has-header", "--out", model], capsys
+        )
+        assert code == 0
+        assert json.loads(model.read_text())["col_labels"] == labels
+        return model, rng.standard_normal((8, 6)), labels
+
+    def _predict(self, tmp_path, capsys, model, x_test, labels, name):
+        z_test = write_csv(tmp_path / f"{name}.csv", x_test, header=labels)
+        out = tmp_path / f"{name}_pred.csv"
+        code, _, stderr = run_cli(
+            ["predict", "--model", model, "--z-test", z_test, "--ell", "same",
+             "--has-header", "--out", out], capsys
+        )
+        return code, out, stderr
+
+    def test_reordered_header_predicts_the_same_bytes(self, tmp_path, capsys):
+        model, x_test, labels = self._fit(tmp_path, capsys)
+        code, same, _ = self._predict(tmp_path, capsys, model, x_test, labels, "same")
+        assert code == 0
+        order = [3, 0, 5, 1, 4, 2]
+        code, moved, _ = self._predict(
+            tmp_path, capsys, model, x_test[:, order], [labels[j] for j in order], "moved"
+        )
+        assert code == 0
+        assert moved.read_bytes() == same.read_bytes()
+
+    def test_renamed_column_exits_two(self, tmp_path, capsys):
+        model, x_test, labels = self._fit(tmp_path, capsys)
+        code, out, stderr = self._predict(
+            tmp_path, capsys, model, x_test, labels[:-1] + ["g"], "renamed"
+        )
+        assert code == 2
+        assert error_of(stderr)["error"] == "SchemaMismatch"
+        assert "no column labelled 'f'" in error_of(stderr)["message"]
+        assert not out.exists()
+
+
 def _panel_files(tmp_path, header=True):
     rng = np.random.default_rng(7)
     donors = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 4))

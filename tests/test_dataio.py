@@ -44,8 +44,8 @@ def _write(path, text):
 
 
 def _reference_read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
-    """The reader as a per-cell loop: the reference the vectorized reader
-    must match bit for bit, errors included."""
+    """The reader as a per-cell loop: the reference both routes of the
+    reader must match bit for bit, errors included."""
     with open(spec.path, newline="") as f:
         rows = list(csv.reader(f))
     labels = None
@@ -111,6 +111,8 @@ _CELLS = st.one_of(
     st.floats().map(repr),
     st.integers(-10**20, 10**20).map(str),
 )
+# header cells csv unquotes, keeps literally, or reads across a line end
+_LABELS = st.sampled_from([" u ", "v1", "", '"a""b"', 'a"b', '"x\ny"', '"p,q"', '" w "'])
 
 
 @st.composite
@@ -127,45 +129,53 @@ def _csv_cases(draw):
     rows = [draw(st.lists(_CELLS, min_size=w, max_size=w))
             for w in draw(st.lists(widths, min_size=1, max_size=6))]
     if has_header:
-        rows.insert(0, [f" u{j} " for j in range(draw(widths))])
+        n_labels = draw(widths)
+        rows.insert(0, draw(st.lists(_LABELS, min_size=n_labels, max_size=n_labels)))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = newline.join(",".join(row) for row in rows)
+    sep = draw(st.sampled_from([",", ", "]))
+    text = newline.join(sep.join(row) for row in rows)
     if draw(st.booleans()):
         text += newline
     return text, has_header
 
 
 _NUMBER_CHARS = "0123456789.eE+-"
-_PLAIN_ALPHABET = _NUMBER_CHARS + ",\nNA"
+# the np.loadtxt route's alphabet, and the pieces it rewrites into it
+_PLAIN_TOKENS = list(_NUMBER_CHARS + ",\nNA") + ["\r\n", ", ", "nan", "\r", " ", "n", "a"]
 
 # cells the np.loadtxt route reads, and cells that must send a file on to
-# the csv route (which accepts some, such as "", and rejects the rest)
+# the csv route (which accepts some, such as "NaN", and rejects the rest;
+# "" stays here as the empty field beside other odd cells)
 _PLAIN_CELLS = st.one_of(
-    st.sampled_from(["NA", "-0", "0", "5.", ".5", "+7", "1E5", "1e-400", "4.9e-324"]),
+    st.sampled_from(
+        ["NA", "nan", "", "-0", "0", "5.", ".5", "+7", "1E5", "1e-400", "4.9e-324"]
+    ),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**20, 10**20).map(str),
 )
 _ODD_CELLS = [
     "+NA", "-NA", "NANA", "1NA", "NA1", "N", "A", "AN", "1N", "N5", "5A", "1e400", "-1e400",
-    ".", "e5", "1e", "--1", "+", "",
+    ".", "e5", "1e", "--1", "+", "", "NaN", "nann", "anan", "1nan", "nA",
 ]
-_ODD_PLAIN_CELLS = st.sampled_from(_ODD_CELLS) | st.text(alphabet=_NUMBER_CHARS + "NA", max_size=6)
+_ODD_PLAIN_CELLS = st.sampled_from(_ODD_CELLS) | st.text(alphabet=_NUMBER_CHARS + "NAna ", max_size=6)
 
 
 @st.composite
 def _plain_cases(draw):
     """(text, has_header) whose data bytes all come from the alphabet the
-    np.loadtxt route admits: a table of plain cells with at most one defect
-    (odd cells, a ragged row, a blank line, a trailing comma, an extra
-    final newline or a header of the wrong width), or raw text from that
-    alphabet."""
+    np.loadtxt route admits or rewrites into it (``\r\n``, ``, ``, ``nan``):
+    a table of plain cells with at most one defect (odd cells, a ragged
+    row, a blank line, a trailing comma, an extra final line end or a
+    header of the wrong width), or raw text from that alphabet."""
     has_header = draw(st.booleans())
     width = draw(st.integers(1, 4))
     defect = draw(st.sampled_from(
         [None, "cells", "cells", "cells", "ragged", "blank", "comma", "newline", "header", "raw"]
     ))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    sep = draw(st.sampled_from([",", ", "]))
     if defect == "raw":
-        text = draw(st.text(alphabet=_PLAIN_ALPHABET, max_size=40))
+        text = "".join(draw(st.lists(st.sampled_from(_PLAIN_TOKENS), max_size=30)))
         width = len(text.partition("\n")[0].split(","))
     else:
         cells = draw(st.lists(st.lists(_PLAIN_CELLS, min_size=width, max_size=width),
@@ -180,22 +190,23 @@ def _plain_cases(draw):
                 cells[row].pop()
             else:
                 cells[row].append(draw(_PLAIN_CELLS))
-        rows = [",".join(r) for r in cells]
+        rows = [sep.join(r) for r in cells]
         if defect == "blank":
             rows.insert(draw(st.integers(0, len(rows))), "")
         elif defect == "comma":
             rows[row] += ","
-        end = "\n\n" if defect == "newline" else draw(st.sampled_from(["\n", ""]))
-        text = "\n".join(rows) + end
+        end = newline * 2 if defect == "newline" else draw(st.sampled_from([newline, ""]))
+        text = newline.join(rows) + end
     if has_header:
-        labels = [f" u{j} " for j in range(width + (defect == "header"))]
-        text = ",".join(labels) + "\n" + text
+        n_labels = width + (defect == "header")
+        labels = draw(st.lists(_LABELS, min_size=n_labels, max_size=n_labels))
+        text = ",".join(labels) + newline + text
     return text, has_header
 
 
 def _route(spec):
     """Which reader ran: "plain" (np.loadtxt) or "csv"."""
-    with mock.patch.object(dataio, "_read_blocks", wraps=dataio._read_blocks) as csv_route:
+    with mock.patch.object(dataio, "_read_csv", wraps=dataio._read_csv) as csv_route:
         _outcome(read_masked_csv, spec)
     return "csv" if csv_route.called else "plain"
 
@@ -298,7 +309,7 @@ class TestReadMaskedCsv:
         m = read_masked_csv(_write(tmp_path / "m.csv", "1_000,١٢,1e-320,-.5\n"))
         assert m.values.tolist() == [[1000.0, 12.0, 1e-320, -0.5]]
 
-    def test_errors_in_later_blocks_name_their_row(self, tmp_path):
+    def test_errors_deep_in_a_large_file_name_their_row(self, tmp_path):
         rows = [[repr(0.1 * (i + j)) for j in range(300)] for i in range(700)]
         rows[650][299] = "zap"
         spec = _write(tmp_path / "m.csv", "".join(",".join(r) + "\n" for r in rows))
@@ -311,48 +322,66 @@ class TestReadMaskedCsv:
             read_masked_csv(spec)
 
     @settings(max_examples=300)
-    @given(case=_csv_cases(), block=st.sampled_from([1, 2, 5, dataio._BLOCK_CELLS]))
-    def test_matches_reference_reader(self, tmp_path_factory, case, block):
-        text, has_header = case
-        path = tmp_path_factory.mktemp("csv") / "m.csv"
-        path.write_bytes(text.encode())
-        spec = CsvMatrixSpec(path=str(path), has_header=has_header)
-        expected = _outcome(_reference_read_masked_csv, spec)
-        with mock.patch.object(dataio, "_BLOCK_CELLS", block):
-            assert _outcome(read_masked_csv, spec) == expected
-
-    @settings(max_examples=300)
-    @given(case=_plain_cases())
-    def test_plain_alphabet_matches_reference_reader(self, tmp_path_factory, case):
+    @given(case=_csv_cases())
+    def test_matches_reference_reader(self, tmp_path_factory, case):
         text, has_header = case
         path = tmp_path_factory.mktemp("csv") / "m.csv"
         path.write_bytes(text.encode())
         spec = CsvMatrixSpec(path=str(path), has_header=has_header)
         assert _outcome(read_masked_csv, spec) == _outcome(_reference_read_masked_csv, spec)
 
+    @settings(max_examples=300)
+    @given(case=_plain_cases(), limit=st.sampled_from([None, 2, 3, 4]))
+    def test_plain_alphabet_matches_reference_reader(self, tmp_path_factory, case, limit):
+        # a small csv field size limit falls inside the bytes a rewrite strips
+        text, has_header = case
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(text.encode())
+        spec = CsvMatrixSpec(path=str(path), has_header=has_header)
+        saved = csv.field_size_limit(limit or csv.field_size_limit())
+        try:
+            assert _outcome(read_masked_csv, spec) == _outcome(_reference_read_masked_csv, spec)
+        finally:
+            csv.field_size_limit(saved)
+
     @pytest.mark.parametrize("cell", _ODD_CELLS)
     def test_odd_cell_after_plain_rows_matches_reference_reader(self, tmp_path, cell):
         # the first row starts with NA and the odd cell sits in row 2, so a
-        # guard that checks only where the data starts lets it through
+        # guard that checks only where the data starts lets it through; an
+        # empty field is admitted, so only its outcome is compared
         for text in (f"NA,1\n2,{cell}\n", f"NA,1\n{cell},2", f"NA,1\n2,{cell},\n"):
             spec = _write(tmp_path / "m.csv", text)
-            assert _route(spec) == "csv", text
+            if cell:
+                assert _route(spec) == "csv", text
             assert _outcome(read_masked_csv, spec) == _outcome(_reference_read_masked_csv, spec)
 
     @pytest.mark.parametrize("text, has_header, route", [
         ("0.1,NA,-2.5\n1e-05,3.0,NA\nNA,-0.0,1.2345678901234567e+300\n", False, "plain"),
         ("a,b\n1,NA\n-3,4.5", True, "plain"),
         ("7\n", False, "plain"),
-        ("1,NA\r\n3,4\r\n", False, "csv"),
-        ('"a",b\n1,2\n', True, "csv"),
+        ("1,NA\r\n3,4\r\n", False, "plain"),
+        ('"a",b\n1,2\n', True, "plain"),
+        ("1, NA\n3, 4\n", False, "plain"),
+        ("1,,3\n,5,\n", False, "plain"),
+        ("nan,1\n2,nan\n", False, "plain"),
+        ('"a""b", c,d\r\n1, nan,\r\n,NA, 2.5\r\n', True, "plain"),
         ("a,b\n1,2,3\n", True, "csv"),
         ("1,NA\n+NA,4\n", False, "csv"),
         ("1,2\n\n3,4\n", False, "csv"),
+        ("1,2\r\n\r\n3,4\r\n", False, "csv"),
         ("1,1e400\n", False, "csv"),
         ("1,2\n3\n", False, "csv"),
         ("a\0,b\n1,2\n", True, "csv"),
-    ], ids=["benchmark-format", "header", "one-cell", "crlf", "quoted-header",
-            "header-width-clash", "signed-na", "blank-line", "overflow", "ragged", "nul-header"])
+        ("1,2\r3,4\r", False, "csv"),
+        ("1,\t2\n3,4\n", False, "csv"),
+        ("1 ,2\n3,4\n", False, "csv"),
+        ('"1",2\n3,4\n', False, "csv"),
+        ("1_000,2\n", False, "csv"),
+        ("NaN,1\n", False, "csv"),
+    ], ids=["benchmark-format", "header", "one-cell", "crlf", "quoted-header", "comma-space",
+            "empty-fields", "nan", "all-rewrites", "header-width-clash", "signed-na",
+            "blank-line", "crlf-blank-line", "overflow", "ragged", "nul-header", "bare-cr", "tab",
+            "space-before-comma", "quoted-cell", "underscore", "capital-nan"])
     def test_route_taken(self, tmp_path, text, has_header, route):
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
@@ -363,13 +392,30 @@ class TestReadMaskedCsv:
     def test_csv_field_size_limit_holds_on_either_route(self, tmp_path):
         saved = csv.field_size_limit(8)
         try:
-            for text, has_header in [("1.2345678,2\n", False), ("abcdefghi,b\n1,2\n", True)]:
+            for text, has_header in [
+                ("1.2345678,2\n", False),
+                ("abcdefghi,b\n1,2\n", True),
+                ('"abcdefghi",b\r\n1,2\r\n', True),
+                ("1, 23456789\r\n", False),
+                ("1,2\n3, 1.2345678\n", False),
+            ]:
                 path = tmp_path / "m.csv"
-                path.write_text(text)
+                path.write_bytes(text.encode())
                 spec = CsvMatrixSpec(path=str(path), has_header=has_header)
                 outcome = _outcome(read_masked_csv, spec)
                 assert outcome[0] is csv.Error
                 assert outcome == _outcome(_reference_read_masked_csv, spec)
+            # a rewrite strips up to two bytes of a field (" nan" -> "NA"):
+            # csv reads " nan" under a limit of 4 and fails under 3
+            failed = {}
+            for limit in (3, 4):
+                csv.field_size_limit(limit)
+                for text in ("1, nan\r\n,2\r\n", "1, 123\n,2\n", "1, ,2\n"):
+                    spec = _write(tmp_path / "m.csv", text)
+                    outcome = _outcome(read_masked_csv, spec)
+                    assert outcome == _outcome(_reference_read_masked_csv, spec), (limit, text)
+                    failed[limit, text] = outcome[0] is csv.Error
+            assert failed[3, "1, nan\r\n,2\r\n"] and not failed[4, "1, nan\r\n,2\r\n"]
         finally:
             csv.field_size_limit(saved)
 
@@ -389,12 +435,31 @@ class TestReadMaskedCsv:
 
     def test_file_is_opened_once_on_either_route(self, tmp_path):
         # a pipe can be read only once, so the csv route reuses the bytes
-        for text in ("1,NA\n3,4\n", "1, NA\n3,4\n"):
+        routes = set()
+        for text in ("1,NA\n3,4\n", "1, NA\r\n3,4\r\n", "1,\n3,4\n", "1,nan\n3,4\n",
+                     "1,NA \n3,4\n"):
             spec = _write(tmp_path / "m.csv", text)
             with mock.patch.object(builtins, "open", wraps=builtins.open) as opened:
                 m = read_masked_csv(spec)
             assert opened.call_count == 1
             assert_array_equal(m.mask, [[True, False], [True, True]])
+            routes.add(_route(spec))
+        assert routes == {"plain", "csv"}
+
+    def test_savetxt_file_takes_the_plain_route(self, tmp_path):
+        # np.savetxt writes NaN as "nan" and 19 significant digits
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((20, 5)) * 10.0 ** rng.integers(-8, 8, (20, 5))
+        values[rng.random((20, 5)) < 0.2] = np.nan
+        path = tmp_path / "s.csv"
+        np.savetxt(path, values, delimiter=",")
+        spec = CsvMatrixSpec(path=str(path))
+        assert _route(spec) == "plain"
+        m = read_masked_csv(spec)
+        expected = [[float(tok) for tok in line.split(",")] for line in path.read_text().splitlines()]
+        assert 0 < np.count_nonzero(~m.mask) < m.mask.size
+        assert_array_equal(m.mask, ~np.isnan(values))
+        assert m.values.tobytes() == np.array(expected).tobytes()
 
     def test_undecodable_bytes_are_a_parse_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -535,9 +600,11 @@ class TestReadPanelCsv:
             read_panel_csv(self._spec(tmp_path), 1.7, 4)
 
 
-def _small_model():
+def _small_model(col_labels=None):
     rng = np.random.default_rng(11)
-    z = MaskedMatrix.from_dense(rng.standard_normal((12, 6)), np.ones((12, 6), bool))
+    z = MaskedMatrix.from_dense(
+        rng.standard_normal((12, 6)), np.ones((12, 6), bool), col_labels=col_labels
+    )
     y = rng.standard_normal(12)
     return fit(z, y, k=3)
 
@@ -560,9 +627,37 @@ class TestModelFiles:
         assert doc["schema_version"] == MODEL_SCHEMA_VERSION
         assert set(doc) == {"schema_version", "k", "rho_hat", "beta_hat", "singular_values"}
 
-    def _tamper(self, tmp_path, mutate):
+    def test_unlabelled_model_keeps_schema_1_bytes(self, tmp_path):
         path = tmp_path / "model.json"
-        write_model(_small_model(), path)
+        write_model(PcrModel(beta_hat=[0.1, -2.0], k=1, rho_hat=0.5, singular_values=[3.0]), path)
+        assert path.read_bytes() == (
+            b'{"beta_hat": [0.1, -2.0], "k": 1, "rho_hat": 0.5, '
+            b'"schema_version": 1, "singular_values": [3.0]}\n'
+        )
+
+    def test_schema_1_document_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"beta_hat": [0.1, -2.0], "k": 1, "rho_hat": 0.5, '
+            '"schema_version": 1, "singular_values": [3.0]}\n'
+        )
+        back = read_model(path)
+        assert back.beta_hat.tolist() == [0.1, -2.0] and back.col_labels is None
+
+    def test_labelled_model_round_trips_as_schema_2(self, tmp_path):
+        model = _small_model(("a", "b c", "", 'd"e', "f", "g"))
+        path = tmp_path / "model.json"
+        write_model(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == 2
+        assert doc["col_labels"] == ["a", "b c", "", 'd"e', "f", "g"]
+        back = read_model(path)
+        assert back.col_labels == model.col_labels
+        assert_array_equal(back.beta_hat, model.beta_hat)
+
+    def _tamper(self, tmp_path, mutate, model=None):
+        path = tmp_path / "model.json"
+        write_model(model or _small_model(), path)
         doc = json.loads(path.read_text())
         mutate(doc)
         path.write_text(json.dumps(doc))
@@ -581,6 +676,17 @@ class TestModelFiles:
         for mutate in cases:
             with pytest.raises(SchemaMismatch):
                 read_model(self._tamper(tmp_path, mutate))
+        labelled = _small_model(tuple("abcdef"))
+        for mutate in [
+            lambda d: d.pop("col_labels"),
+            lambda d: d.__setitem__("col_labels", "abcdef"),
+            lambda d: d.__setitem__("col_labels", ["a", "b", "c", "d", "e", 6]),
+            lambda d: d.__setitem__("schema_version", 3),
+        ]:
+            with pytest.raises(SchemaMismatch):
+                read_model(self._tamper(tmp_path, mutate, labelled))
+        with pytest.raises(CorruptModel, match="5 column labels for 6 coefficients"):
+            read_model(self._tamper(tmp_path, lambda d: d["col_labels"].pop(), labelled))
 
     def test_non_object_document(self, tmp_path):
         path = tmp_path / "model.json"

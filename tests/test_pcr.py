@@ -16,6 +16,7 @@ from eivpcr import (
     PcrModel,
     PredictionConfig,
     RankOutOfRange,
+    SchemaMismatch,
     ShapeMismatch,
     check_subspace_inclusion,
     fit,
@@ -469,6 +470,70 @@ class TestSubspaceInclusion:
     def test_column_mismatch(self):
         with pytest.raises(ShapeMismatch):
             check_subspace_inclusion(np.eye(3), np.eye(4))
+
+
+class TestColumnLabels:
+    def _labelled(self, seed=30):
+        rng = _rng(seed)
+        labels = ("a", "b", "c", "d", "e", "f")
+        values = rng.normal(size=(20, 6))
+        mask = rng.random((20, 6)) < 0.9
+        z = MaskedMatrix(values=values, mask=mask, col_labels=labels)
+        model = fit(z, rng.normal(size=20), k=3)
+        z_test = MaskedMatrix(
+            values=rng.normal(size=(7, 6)), mask=rng.random((7, 6)) < 0.9, col_labels=labels
+        )
+        return model, z_test
+
+    def test_fit_keeps_the_design_labels(self):
+        model, _ = self._labelled()
+        assert model.col_labels == ("a", "b", "c", "d", "e", "f")
+        assert fit(MaskedMatrix.from_dense(np.eye(3)), [1.0, 2.0, 3.0], k=3).col_labels is None
+
+    def test_reordered_columns_predict_the_same_bits(self):
+        model, z_test = self._labelled()
+        cfg = PredictionConfig(ell=2)
+        want = predict_detailed(model, z_test, cfg)
+        order = [5, 2, 0, 4, 1, 3]
+        reordered = MaskedMatrix(
+            values=z_test.values[:, order],
+            mask=z_test.mask[:, order],
+            col_labels=[z_test.col_labels[j] for j in order],
+        )
+        got = predict_detailed(model, reordered, cfg)
+        assert got.y_hat.tobytes() == want.y_hat.tobytes()
+        assert got.right_vectors.tobytes() == want.right_vectors.tobytes()
+        # without labels on the test side, columns are taken by position
+        unlabelled = MaskedMatrix(values=reordered.values, mask=reordered.mask)
+        assert predict(model, unlabelled, cfg).tobytes() != want.y_hat.tobytes()
+
+    @pytest.mark.parametrize("labels, message", [
+        (("a", "b", "c", "d", "e", "g"), "test design has no column labelled 'f'"),
+        (("a", "b", "c", "d", "e", "a"), "test design column label 'a' is repeated"),
+    ])
+    def test_label_mismatch_raises(self, labels, message):
+        model, z_test = self._labelled()
+        z_bad = MaskedMatrix(values=z_test.values, mask=z_test.mask, col_labels=labels)
+        with pytest.raises(SchemaMismatch, match=message):
+            predict(model, z_bad, PredictionConfig(ell=2))
+
+    def test_repeated_labels_in_the_same_order_pass(self):
+        # a panel may name two donors alike; sc passes them in order
+        rng = _rng(31)
+        labels = ("u", "u", "v")
+        z = MaskedMatrix.from_dense(rng.normal(size=(9, 3)), col_labels=labels)
+        model = fit(z, rng.normal(size=9), k=2)
+        z_test = MaskedMatrix.from_dense(rng.normal(size=(4, 3)), col_labels=labels)
+        cfg = PredictionConfig(ell=2)
+        assert predict(model, z_test, cfg).tobytes() == predict(
+            model, MaskedMatrix.from_dense(z_test.values), cfg
+        ).tobytes()
+        with pytest.raises(SchemaMismatch, match="model column label 'u' is repeated"):
+            predict(model, MaskedMatrix.from_dense(z_test.values, col_labels=("v", "u", "u")), cfg)
+
+    def test_label_count_must_match_the_coefficients(self):
+        with pytest.raises(CorruptModel, match="2 column labels for 1 coefficients"):
+            PcrModel(beta_hat=[1.0], k=1, rho_hat=1.0, singular_values=[1.0], col_labels=("a", "b"))
 
 
 class TestPcrModelInvariants:

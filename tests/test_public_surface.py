@@ -47,7 +47,9 @@ _FIELDS = {
     "MaskedMatrix": ["values", "mask", "col_labels"],
     "PanelDataset": ["outcomes", "target_col", "pre_periods"],
     "PanelTrial": ["panel", "truth", "weights", "latent_donors"],
-    "PcrModel": ["beta_hat", "k", "rho_hat", "singular_values", "right_vectors"],
+    "PcrModel": [
+        "beta_hat", "k", "rho_hat", "singular_values", "right_vectors", "col_labels",
+    ],
     "Prediction": [
         "y_hat", "rho_hat_prime", "ell", "ell_effective", "clamped",
         "singular_values", "right_vectors",
