@@ -123,8 +123,8 @@ class SvdFactors:
 
     ``singular_values`` is nonincreasing with length q = min(rows, cols);
     ``left_vectors`` is rows x q and ``right_vectors`` cols x q, both with
-    orthonormal columns. In each left vector the entry of largest absolute
-    value is nonnegative (ties broken by lowest index); the paired right
+    orthonormal columns. In each right vector the entry of largest absolute
+    value is nonnegative (ties broken by lowest index); the paired left
     vector is flipped jointly, so the reconstruction is unchanged.
     """
 
@@ -159,19 +159,19 @@ class SvdFactors:
             object.__setattr__(self, name, a)
 
 
-def _apply_sign_convention(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    """Flip columns of ``u`` and rows of ``vt`` in place to :class:`SvdFactors`'
-    convention; returns the signs applied, one per column of ``u``."""
-    if u.size == 0:
-        return np.ones(u.shape[1])
-    mag = np.abs(u)
+def _apply_sign_convention(vt: np.ndarray, u: np.ndarray | None = None) -> None:
+    """Flip rows of ``vt`` in place to :class:`SvdFactors`' convention, and
+    the paired columns of ``u`` when a caller has them."""
+    if vt.size == 0:
+        return
+    mag = np.abs(vt)
     # argmax returns the first True: among entries tied for the largest
-    # magnitude in a column, the one with the lowest row index
-    peak_rows = (mag == mag.max(axis=0)).argmax(axis=0)
-    sign = np.where(u[peak_rows, np.arange(u.shape[1])] < 0, -1.0, 1.0)
-    u *= sign  # multiplying by 1.0 or -1.0 is exact
-    vt *= sign[:, None]
-    return sign
+    # magnitude in a row, the one with the lowest column index
+    peak_cols = (mag == mag.max(axis=1, keepdims=True)).argmax(axis=1)
+    sign = np.where(vt[np.arange(vt.shape[0]), peak_cols] < 0, -1.0, 1.0)
+    vt *= sign[:, None]  # multiplying by 1.0 or -1.0 is exact
+    if u is not None:
+        u *= sign
 
 
 def svd(m) -> SvdFactors:
@@ -190,7 +190,7 @@ def svd(m) -> SvdFactors:
         If the iteration fails; never silently truncated.
     """
     u, s, vt = _lapack_svd(m, full_matrices=False)
-    _apply_sign_convention(u, vt)  # in place: LAPACK's outputs are ours
+    _apply_sign_convention(vt, u)  # in place: LAPACK's outputs are ours
     return SvdFactors._of_fresh(s, u, vt.T)
 
 
@@ -211,7 +211,7 @@ def _svd_of_product(left, right) -> SvdFactors:
     u, s, vt = _lapack_svd(r_l @ r_r.T, full_matrices=False)
     u = q_l @ u
     vt = vt @ q_r.T
-    _apply_sign_convention(u, vt)
+    _apply_sign_convention(vt, u)
     return SvdFactors._of_fresh(s, u, vt.T)
 
 
@@ -248,26 +248,27 @@ def _qr_r(f: np.ndarray) -> np.ndarray:
 
 
 def _small_side_svd(a: np.ndarray, rank, y=None):
-    """Top singular triplets of a dense n x p matrix from one QR and one SVD
-    of its small side; the n x p left factor is never formed.
+    """Top singular values and right vectors of a dense n x p matrix from
+    one QR and one SVD of its small side; a tall matrix's left vectors are
+    never formed.
 
     Tall (n > p): the QR of ``a`` gives the p x p factor R, whose SVD gives
-    the spectrum and V, and U_k = a V_k / s_k. Wide (n <= p): the QR of
-    ``a.T``; the SVD of the n x n factor's transpose gives the spectrum and
-    U, and V_k = a^T U_k / s_k. ``rank(s)`` maps the whole nonincreasing
-    spectrum to the number k of triplets kept, and may raise.
-    :func:`svd`'s sign convention is applied to U_k.
+    the spectrum and V. Wide (n <= p): the QR of ``a.T``; the SVD of the
+    n x n factor's transpose gives the spectrum and U, and
+    V_k = a^T U_k / s_k. ``rank(s)`` maps the whole nonincreasing spectrum
+    to the number k of triplets kept, and may raise. :func:`svd`'s sign
+    convention is applied to V_k.
 
     The QR runs in :func:`_qr_r` on one Fortran-ordered copy built in a
     single pass (``[a | y]`` or ``a`` when tall, ``a.T`` when wide), so it
     releases the GIL and its R has ``numpy.linalg.qr(mode="r")``'s bits.
 
-    Returns ``(s_k, u_k, v_k, uty)``, where uty is U_k^T y for a response
-    ``y`` and None without one. A tall ``a`` is then factorized as
-    ``[a | y]`` and uty taken from Q^T y, the stacked R's last column,
-    because the lifted U_k's rounding grows as s_1 / s_k. The triplets
-    agree with :func:`svd`'s top k to rounding, not bit for bit. Raises
-    what :func:`svd` raises.
+    Returns ``(s_k, v_k, uty)``, where uty is U_k^T y, under V_k's signs,
+    for a response ``y`` and None without one. A tall ``a`` is then
+    factorized as ``[a | y]`` and uty taken from Q^T y, the stacked R's
+    last column, and R's left vectors, so U_k itself is never needed. The
+    values and vectors agree with :func:`svd`'s top k to rounding, not bit
+    for bit. Raises what :func:`svd` raises.
     """
     n, p = a.shape
     if n > p:
@@ -276,12 +277,11 @@ def _small_side_svd(a: np.ndarray, rank, y=None):
         if y is not None:
             f[:, p] = y
         r = _qr_r(f)
-        u_r, s, vt = _lapack_svd(r[:p, :p], full_matrices=False)
+        u, s, vt = _lapack_svd(r[:p, :p], full_matrices=False)
         k = rank(s)
-        s, vt = s[:k], vt[:k]
-        u = a @ vt.T
-        u /= s
-        uty = None if y is None else u_r[:, :k].T @ r[:p, p]
+        s, u, vt = s[:k], u[:, :k], vt[:k]
+        if y is not None:
+            y = r[:p, p]  # Q^T y: U_k^T y is R's left vectors against it
     else:
         # a C-ordered a's transpose is F-contiguous: this is a memcpy
         u, s, _ = _lapack_svd(_qr_r(np.array(a.T, order="F")).T, full_matrices=False)
@@ -289,11 +289,8 @@ def _small_side_svd(a: np.ndarray, rank, y=None):
         s, u = s[:k], u[:, :k]
         vt = u.T @ a
         vt /= s[:, None]
-        uty = None if y is None else u.T @ y
-    sign = _apply_sign_convention(u, vt)
-    if uty is not None:
-        uty *= sign
-    return s, u, vt.T, uty
+    _apply_sign_convention(vt, u)
+    return s, vt.T, None if y is None else u.T @ y
 
 
 def truncate_rank(f: SvdFactors, k: int) -> np.ndarray:

@@ -189,6 +189,8 @@ def _read_csv(spec: CsvMatrixSpec, data: bytes) -> MaskedMatrix:
             rows = list(csv.reader(f))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{spec.path}: not valid {exc.encoding} text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{spec.path}: {exc}") from None
     labels = None
     if spec.has_header:
         if not rows:

@@ -165,8 +165,8 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
         solution against its rank-k truncation. The triplets come from a
         QR of the rescaled design's small side and one SVD of the square
         factor (``[Z | y]`` when n > p, which gives U^T y; Z^T otherwise),
-        so the n x p left vectors are never formed. ``beta_hat`` and the
-        spectrum agree with a dense SVD of the design to rounding. The QR
+        so a tall design's left vectors are never formed. ``beta_hat`` and
+        the spectrum agree with a dense SVD of the design to rounding. The QR
         is LAPACK's ``dgeqrf`` from numpy's bundled OpenBLAS, with
         ``numpy.linalg.qr``'s bits, called so that it releases the GIL:
         fits on other threads run beside it.
@@ -201,7 +201,7 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
             )
         return k
 
-    s_k, _, v_k, uty = _small_side_svd(rescaled, nondegenerate_k, y)
+    s_k, v_k, uty = _small_side_svd(rescaled, nondegenerate_k, y)
     return PcrModel(
         beta_hat=v_k @ (uty / s_k),
         k=k,
@@ -218,10 +218,10 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
     The test design is rescaled by its own observed fraction, truncated to
     rank ``cfg.ell`` and multiplied by ``model.beta_hat``. The truncation
     comes from a QR of the rescaled design's small side and one SVD of the
-    square factor, as in :func:`fit`, and the QR releases the GIL as there;
-    the prediction is Z V V^T beta_hat over the retained right vectors V
-    (U S = Z V), so the left vectors of the m x p design are never taken
-    from LAPACK.
+    square factor, as in :func:`fit`, and the QR releases the GIL as there.
+    The prediction is Z (V (V^T beta_hat)) over the retained right vectors
+    V on either route (U S = Z V), so a tall design's left vectors are never
+    formed; at ``ell_effective == 0`` (an all-zero design) it is +0.0.
     Clamping, when ``cfg.bound`` is set, applies to the responses after
     denoised prediction, never to the coefficients.
 
@@ -242,12 +242,12 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
             f"ell={cfg.ell} outside [1, {min(z_test.rows, z_test.cols)}]"
         )
     rescaled, rho_hat_prime = rescale(z_test)
-    s, u, v, _ = _small_side_svd(
+    s, v, _ = _small_side_svd(
         rescaled,
         lambda s: min(cfg.ell, int(np.count_nonzero(s > _RELATIVE_SPECTRUM_FLOOR * s[0]))),
     )
-    # at ell_eff == 0 the empty product is a vector of +0.0
-    raw = u @ (s * (v.T @ model.beta_hat))
+    # at ell_eff == 0 BLAS sums from +0.0, so y_hat is +0.0 on a -0.0 design too
+    raw = rescaled @ (v @ (v.T @ model.beta_hat))
     if cfg.bound is None:
         y_hat = raw
         clamped = np.zeros(raw.shape, dtype=bool)

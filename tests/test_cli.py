@@ -136,6 +136,18 @@ class TestFit:
         assert err["error"] == "ParseError"
         assert err["message"].startswith(f"{paths[bad]}: not valid ")
 
+    def test_field_over_the_csv_size_limit_exits_two(self, tmp_path, identity_files, capsys):
+        _, y = identity_files
+        z = tmp_path / "long_field.csv"
+        z.write_text("1" * 140_000 + "\n")
+        code, stdout, stderr = run_cli(
+            ["fit", "--z", z, "--y", y, "--k", "1", "--out", tmp_path / "m.json"], capsys
+        )
+        assert code == 2 and stdout == ""
+        err = error_of(stderr)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{z}: field larger than field limit")
+
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         code, stdout, stderr = run_cli([], capsys)
         assert code == 2 and stdout == ""

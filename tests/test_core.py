@@ -208,17 +208,17 @@ class TestSvd:
         for seed in range(10):
             f = svd(_rng(seed).normal(size=(6, 4)))
             for j in range(4):
-                col = f.left_vectors[:, j]
+                col = f.right_vectors[:, j]
                 assert col[np.argmax(np.abs(col))] >= 0
 
     def test_sign_tie_goes_to_the_lowest_index(self):
-        # each column's largest magnitude is held by two entries of opposite sign
-        u = np.array([[-0.5, 0.5, 0.0], [0.5, -0.5, -0.25], [0.25, 0.0, 0.25]])
-        vt = np.arange(1.0, 10.0).reshape(3, 3)
-        expected_u, expected_vt = u * [-1, 1, -1], vt * [[-1], [1], [-1]]
-        _apply_sign_convention(u, vt)
-        assert_array_equal(u, expected_u)
+        # each row's largest magnitude is held by two entries of opposite sign
+        vt = np.array([[-0.5, 0.5, 0.25], [0.5, -0.5, 0.0], [0.0, -0.25, 0.25]])
+        u = np.arange(1.0, 10.0).reshape(3, 3)
+        expected_vt, expected_u = vt * [[-1], [1], [-1]], u * [-1, 1, -1]
+        _apply_sign_convention(vt, u)
         assert_array_equal(vt, expected_vt)
+        assert_array_equal(u, expected_u)
 
     def test_empty_matrix(self):
         f = svd(np.empty((0, 3)))
@@ -407,8 +407,8 @@ def _check_product_factors(f, left, right, rank):
     s = f.singular_values
     assert_allclose(s, svd(x).singular_values[:r], rtol=0, atol=tol * s[0])
     assert np.all(s[rank:] <= tol * s[0]) and np.all(s[:rank] > tol * s[0])
-    peaks = np.abs(f.left_vectors).argmax(axis=0)
-    assert np.all(f.left_vectors[peaks, np.arange(r)] >= 0)
+    peaks = np.abs(f.right_vectors).argmax(axis=0)
+    assert np.all(f.right_vectors[peaks, np.arange(r)] >= 0)
 
 
 @given(
@@ -443,6 +443,25 @@ def test_svd_of_product_with_a_rank_deficient_right_factor(n, p, seed):
     _check_product_factors(_svd_of_product(left, q.T), left, q.T, rank)
 
 
+@pytest.mark.parametrize("shape, with_y", [((80, 12), True), ((80, 12), False), ((12, 80), True)],
+                         ids=["tall-y", "tall-no-y", "wide"])
+def test_small_side_svd_right_vectors_follow_the_sign_convention(shape, with_y):
+    rng = _rng(9)
+    a = rng.normal(size=shape)
+    y = rng.normal(size=shape[0]) if with_y else None
+    s, v, uty = _small_side_svd(a, lambda s: 5, y)
+    peaks = np.abs(v).argmax(axis=0)
+    assert np.all(v[peaks, np.arange(5)] >= 0)
+    # svd's top 5 under the same rule: the same vectors and U^T y to rounding
+    f = svd(a)
+    assert_allclose(s, f.singular_values[:5], rtol=1e-12)
+    assert np.abs(v - f.right_vectors[:, :5]).max() <= 1e-10
+    if with_y:
+        assert_allclose(uty, f.left_vectors[:, :5].T @ y, rtol=1e-10)
+    else:
+        assert uty is None
+
+
 class TestQrR:
     @pytest.mark.parametrize("a", [
         np.random.default_rng(1).normal(size=(50, 7)),     # tall
@@ -469,7 +488,7 @@ class TestQrR:
         found = _small_side_svd(a, lambda s: 4, y)
         monkeypatch.setattr(_blas, "_openblas", lambda: None)
         fallback = _small_side_svd(a, lambda s: 4, y)
-        # (s_k, u_k, v_k, uty), with uty None without a response
+        # (s_k, v_k, uty), with uty None without a response
         assert [x if x is None else x.tobytes() for x in found] == [
             x if x is None else x.tobytes() for x in fallback
         ]

@@ -47,7 +47,10 @@ def _reference_read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     """The reader as a per-cell loop: the reference both routes of the
     reader must match bit for bit, errors included."""
     with open(spec.path, newline="") as f:
-        rows = list(csv.reader(f))
+        try:
+            rows = list(csv.reader(f))
+        except csv.Error as exc:
+            raise ParseError(f"{spec.path}: {exc}") from None
     labels = None
     if spec.has_header:
         if not rows:
@@ -405,7 +408,7 @@ class TestReadMaskedCsv:
                 path.write_bytes(text.encode())
                 spec = CsvMatrixSpec(path=str(path), has_header=has_header)
                 outcome = _outcome(read_masked_csv, spec)
-                assert outcome[0] is csv.Error
+                assert outcome[0] is ParseError
                 assert outcome == _outcome(_reference_read_masked_csv, spec)
             # a rewrite strips up to two bytes of a field (" nan" -> "NA"):
             # csv reads " nan" under a limit of 4 and fails under 3
@@ -416,7 +419,7 @@ class TestReadMaskedCsv:
                     spec = _write(tmp_path / "m.csv", text)
                     outcome = _outcome(read_masked_csv, spec)
                     assert outcome == _outcome(_reference_read_masked_csv, spec), (limit, text)
-                    failed[limit, text] = outcome[0] is csv.Error
+                    failed[limit, text] = outcome[0] is ParseError
             assert failed[3, "1, nan\r\n,2\r\n"] and not failed[4, "1, nan\r\n,2\r\n"]
         finally:
             csv.field_size_limit(saved)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from eivpcr import core
 from eivpcr import (
     AllMissing,
     BadParam,
@@ -317,6 +318,19 @@ class TestPredict:
         one = predict(model, z_test, PredictionConfig(ell=1))
         assert_allclose(pred.y_hat, one, rtol=1e-12)
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+    @pytest.mark.parametrize("m, p", [(30, 8), (5, 20), (1, 8)], ids=["tall", "wide", "one-row"])
+    def test_all_zero_test_design_predicts_positive_zeros(self, m, p, zero):
+        rng = _rng(24)
+        model = fit(MaskedMatrix.from_dense(rng.normal(size=(12, p))), rng.normal(size=12), k=2)
+        mask = rng.uniform(size=(m, p)) < 0.8
+        mask[0, 0] = True
+        z_test = MaskedMatrix.from_dense(np.full((m, p), zero), mask=mask)
+        pred = predict_detailed(model, z_test, PredictionConfig(ell=1))
+        assert pred.ell_effective == 0 and pred.right_vectors.shape == (p, 0)
+        assert pred.y_hat.shape == (m,)
+        assert not np.any(pred.y_hat) and not np.any(np.signbit(pred.y_hat))
+
     def test_column_mismatch(self):
         model = fit(MaskedMatrix.from_dense(np.eye(3)), [1.0, 2.0, 3.0], k=2)
         with pytest.raises(ShapeMismatch):
@@ -408,6 +422,35 @@ class TestDenseSvdReference:
                 _dense_fit(z, y, k)
             with pytest.raises(DegenerateSpectrum, match=f"^singular value {k} is "):
                 fit(z, y, k)
+
+
+@pytest.mark.parametrize("n, m, p", [(30, 25, 8), (6, 5, 20), (10, 10, 10)],
+                         ids=["tall", "wide", "square"])
+def test_no_sign_choice_reaches_beta_hat_or_y_hat(n, m, p, monkeypatch):
+    rng = _rng(25)
+    z = MaskedMatrix.from_dense(rng.normal(size=(n, p)), rng.uniform(size=(n, p)) < 0.9)
+    z_test = MaskedMatrix.from_dense(rng.normal(size=(m, p)), rng.uniform(size=(m, p)) < 0.9)
+    y = rng.normal(size=n)
+    cfg = PredictionConfig(ell=3)
+
+    def run():
+        model = fit(z, y, k=3)
+        return model, predict_detailed(model, z_test, cfg).y_hat
+
+    want, want_y_hat = run()
+    rule = core._apply_sign_convention
+
+    def every_pair_negated(vt, u=None):
+        rule(vt, u)
+        vt *= -1.0
+        if u is not None:
+            u *= -1.0
+
+    monkeypatch.setattr(core, "_apply_sign_convention", every_pair_negated)
+    got, got_y_hat = run()
+    assert_array_equal(got.right_vectors, -want.right_vectors)
+    assert got.beta_hat.tobytes() == want.beta_hat.tobytes()
+    assert got_y_hat.tobytes() == want_y_hat.tobytes()
 
 
 class TestFitPeakMemory:
