@@ -306,7 +306,8 @@ def check_subspace_inclusion(x_train, x_test) -> float:
 
 
 def _inclusion_leakage(train: SvdFactors, x_test: np.ndarray) -> float:
-    """:func:`check_subspace_inclusion` given ``svd(x_train)``."""
+    """:func:`check_subspace_inclusion` given ``svd(x_train)``, or a thin
+    SVD of ``x_train`` holding at least its numerical-rank triplets."""
     s = train.singular_values
     r = int(np.count_nonzero(s > _NUMERICAL_RANK_CUT * s[0])) if s.size and s[0] > 0 else 0
     v_r = train.right_vectors[:, :r]  # at r == 0 the residual is x_test exactly

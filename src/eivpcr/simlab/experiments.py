@@ -10,18 +10,18 @@ same process-wide pin the CLI holds around every command. Reports are then
 bit-identical regardless of execution order, worker count or the process's
 BLAS thread setting. Without that library, trials run on the process's own
 BLAS threading, and their last bits may depend on it.
-Every trial factors its latent ``x_train`` once with vectors, kept as
-``TrialData.train_factors`` (beta_star, ``leakage_ok``, ``leakage_bad``), and
-once values-only (``snr``; shift's ``snr_test_*`` take one per test latent).
-Shift and subspace trials run both on the n x p ``x_train``. An
-identification trial runs both on r x r matrices: its train factors come
-from the r x r core of the generating factors ``x_train = X_r Q``, and
-``snr`` from the r x r matrix ``U_r^T x_train V_r`` of those factors.
-The error columns come from the fit and predict SVDs of the corrupted designs.
-Those take their small-side QR from LAPACK's ``dgeqrf`` outside the GIL
-(:func:`eivpcr.core._qr_r`), so the thread-pool workers overlap in it; only
-the ``_svd_of_product`` QRs of the n x r and p x r generating factors
-(r = round(p^(1/3))) stay in ``numpy.linalg.qr``.
+Every trial builds its latent ``x_train = left @ right.T`` from its n x r
+and p x r generating factors (``X_r`` and ``Q^T`` for identification, ``U``
+and ``V`` for shift and subspace) and takes its rank-r thin SVD from them
+through the r x r core, kept as ``TrialData.train_factors``; the n x p
+latent is never factorized. Those factors give beta_star, shift and subspace
+``snr`` and the ``leakage_*`` columns. Identification's ``snr`` takes a
+values-only SVD of the r x r matrix ``U_r^T x_train V_r``, and shift's
+``snr_test_*`` one of each test latent. The error columns come from the fit
+and predict SVDs of the corrupted designs. Those take their small-side QR
+from LAPACK's ``dgeqrf`` outside the GIL (:func:`eivpcr.core._qr_r`), so the
+thread-pool workers overlap in it; only the ``_svd_of_product`` QRs of the
+generating factors stay in ``numpy.linalg.qr``.
 """
 from __future__ import annotations
 
@@ -34,10 +34,12 @@ from statistics import fmean, pstdev
 import numpy as np
 
 from .._blas import _single_threaded_blas
-from ..core import _singular_values, _svd_of_product, svd
+from ..core import _singular_values, _svd_of_product
 from ..errors import BadParam
 from ..pcr import PredictionConfig, _inclusion_leakage, fit, predict
-from .generators import Shift, TrialData, _prob_pca_factors, corrupt, gen_factor_uv, gen_rowspan_violation
+from .generators import (
+    Shift, TrialData, _factor_uv_factors, _prob_pca_factors, _rowspan_violation_factors, corrupt,
+)
 from ..metrics import mean_squared_error, rmse, snr_report
 from .streams import Role, child, substream
 
@@ -87,13 +89,10 @@ def _aggregate(records, group_cols, value_cols, extra=None):
 
 
 def _run_trials(trial_fn, keys, threads):
-    # map() preserves key order, so results are deterministic either way;
+    # map() keeps key order, so results do not depend on the worker count;
     # one BLAS thread per trial keeps workers off each other's cores
-    with _single_threaded_blas():
-        if threads == 1:
-            return [trial_fn(*k) for k in keys]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda k: trial_fn(*k), keys))
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda k: trial_fn(*k), keys))
 
 
 def _resolve_threads(threads):
@@ -107,24 +106,25 @@ def _resolve_threads(threads):
     return workers
 
 
-def _trial(x_train, x_tests, sigma2, r, trial, factors=None):
+def _trial(left, right, x_tests, sigma2, trial):
     """The train side of one trial, shared by all of its test designs.
 
-    Draws beta and the response noise from ``trial``'s streams, projects
-    beta onto the top-r right singular vectors of ``x_train`` (beta_star)
-    and corrupts the train design with noise variance ``sigma2``. The
-    vectors come from ``factors``, or from ``svd(x_train)`` when it is None.
+    Forms the latent ``x_train = left @ right.T`` from its n x r and p x r
+    generating factors and takes its rank-r thin SVD from them
+    (``train_factors``). Draws beta and the response noise from ``trial``'s
+    streams, projects beta onto the r right singular vectors (beta_star)
+    and corrupts the train design with noise variance ``sigma2``.
     Returns one TrialData per matrix in ``x_tests``, sharing
     ``train_factors`` and the test-side noise draw, or a bare TrialData when
     ``x_tests`` is None.
     """
+    x_train = left @ right.T
     n, p = x_train.shape
     sigma = math.sqrt(float(sigma2))
     beta_raw = substream(trial, Role.MODEL).standard_normal(p)
     eps = sigma * substream(trial, Role.RESPONSE_NOISE).standard_normal(n)
-    if factors is None:
-        factors = svd(x_train)
-    v_r = factors.right_vectors[:, :r]
+    factors = _svd_of_product(left, right)
+    v_r = factors.right_vectors
     train = dict(
         x_train=x_train,
         beta_raw=beta_raw,
@@ -165,15 +165,14 @@ def make_identification_trial(p: int, n: int, r: int, seed) -> TrialData:
 
     Latent covariates are :func:`gen_prob_pca`'s draw, bit for bit:
     ``x_train = X_r Q``. ``train_factors`` is the rank-r thin SVD of that
-    product, taken from X_r and Q through their r x r core, so the n x p
-    latent is never factorized; it matches ``svd(x_train)``'s top r
-    triplets to rounding. Responses are y = X beta + eps with standard
+    product, taken from X_r and Q through their r x r core (see
+    :class:`TrialData`). Responses are y = X beta + eps with standard
     normal beta and noise variance 0.2 on both the responses and the
     covariates; nothing is masked.
     """
     trial = child(seed, p, n)
     x_r, q = _prob_pca_factors(n, p, r, trial)
-    return _trial(x_r @ q, None, IDENTIFICATION_SIGMA2, r, trial, _svd_of_product(x_r, q.T))
+    return _trial(x_r, q.T, None, IDENTIFICATION_SIGMA2, trial)
 
 
 def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
@@ -229,13 +228,16 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
 def make_shift_trial(size: int, sigma2: float, seed) -> dict:
     """Assemble one covariate-shift trial: a TrialData per shift.
 
-    All four test designs share the train matrix, the right factors, and
-    the test-side noise draw; only the test factor distribution changes.
+    Latents are :func:`gen_factor_uv`'s draw, bit for bit; ``train_factors``
+    come from its U and V (see :class:`TrialData`). All four test designs
+    share the train matrix, its factors, and the test-side noise draw; only
+    the test factor distribution changes.
     """
-    n, r = int(size), DEFAULT_FACTOR_RANK
+    n = int(size)
     trial = child(seed, _sigma_key(sigma2), size)
-    x_train, x_tests = gen_factor_uv(n, n, n, trial, r=r)
-    return dict(zip(x_tests, _trial(x_train, list(x_tests.values()), sigma2, r, trial)))
+    u, v, u_tests = _factor_uv_factors(n, n, n, trial, DEFAULT_FACTOR_RANK)
+    x_tests = [u_test @ v.T for u_test in u_tests.values()]
+    return dict(zip(u_tests, _trial(u, v, x_tests, sigma2, trial)))
 
 
 def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentReport:
@@ -251,7 +253,7 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentRep
         trials = make_shift_trial(size, sigma2, seed)
         base = trials[Shift.N1]
         model = fit(base.z_train, base.y, k=r)
-        rec = _noise_record("factor_shift", size, r, sigma2, seed, base.x_train)
+        rec = _noise_record("factor_shift", size, r, sigma2, seed, base.train_factors)
         for shift, trial in trials.items():
             y_hat = predict(model, trial.z_test, PredictionConfig(ell=r))
             rec[f"mse_{shift.name}"] = mean_squared_error(y_hat, trial.theta_test)
@@ -272,13 +274,15 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentRep
 
 def make_subspace_trial(size: int, sigma2: float, seed):
     """Assemble ``(trial_ok, trial_bad)``, the inclusion-preserving and
-    inclusion-violating trials. Both test designs share the train matrix,
-    its factors and the test-side noise draw.
+    inclusion-violating trials. Latents are :func:`gen_rowspan_violation`'s
+    draw, bit for bit; ``train_factors`` come from its U and V (see
+    :class:`TrialData`). Both test designs share the train matrix, its
+    factors and the test-side noise draw.
     """
-    n, r = int(size), DEFAULT_FACTOR_RANK
+    n = int(size)
     trial = child(seed, _sigma_key(sigma2), size)
-    x_train, x_ok, x_bad = gen_rowspan_violation(n, n, n, trial, r=r)
-    return tuple(_trial(x_train, (x_ok, x_bad), sigma2, r, trial))
+    u, v, u_ok, v_bad = _rowspan_violation_factors(n, n, n, trial, DEFAULT_FACTOR_RANK)
+    return tuple(_trial(u, v, (u_ok @ v.T, u @ v_bad.T), sigma2, trial))
 
 
 def run_experiment_subspace(noise_grid, seeds, size, threads=None) -> ExperimentReport:
@@ -293,7 +297,7 @@ def run_experiment_subspace(noise_grid, seeds, size, threads=None) -> Experiment
         cfg = PredictionConfig(ell=r)
         mse_ok = mean_squared_error(predict(model, trial_ok.z_test, cfg), trial_ok.theta_test)
         mse_bad = mean_squared_error(predict(model, trial_bad.z_test, cfg), trial_bad.theta_test)
-        rec = _noise_record("factor_rowspan_violation", size, r, sigma2, seed, trial_ok.x_train)
+        rec = _noise_record("factor_rowspan_violation", size, r, sigma2, seed, trial_ok.train_factors)
         rec.update(
             mse_ok=mse_ok,
             mse_bad=mse_bad,
@@ -317,8 +321,9 @@ def _snr(x, r) -> float:
     return snr_report(_singular_values(x)[r - 1], 1.0, *x.shape)
 
 
-def _noise_record(kind, size, r, sigma2, seed, x_train) -> dict:
-    """The columns a shift or subspace record starts with."""
+def _noise_record(kind, size, r, sigma2, seed, train_factors) -> dict:
+    """The columns a shift or subspace record starts with; ``snr`` reads
+    the trial's rank-r train factors."""
     return {
         "config": _config(kind, size, size, size, r, sigma2),
         "sigma2": sigma2,
@@ -326,7 +331,7 @@ def _noise_record(kind, size, r, sigma2, seed, x_train) -> dict:
         "r": r,
         "seed": seed,
         "chosen_k": r,
-        "snr": _snr(x_train, r),
+        "snr": snr_report(train_factors.singular_values[r - 1], 1.0, size, size),
     }
 
 

@@ -39,14 +39,16 @@ class TrialData:
     """One assembled trial: latent matrices, model, responses, observations.
 
     ``train_factors`` is the trial's one factorization of ``x_train`` with
-    vectors: ``beta_star`` projects ``beta_raw`` onto its top-r right vectors
-    (the minimum-norm model the estimator can identify) and the subspace
-    leakage columns read it. Shift and subspace trials take ``svd(x_train)``
-    (min(n, p) triplets). An identification trial takes the rank-r thin SVD
-    from the generating factors of ``x_train = X_r Q`` (r triplets), which
-    matches ``svd(x_train)``'s top r to rounding. ``theta_test = x_test @
-    beta_raw`` holds the expected test responses. Test-side fields are None
-    for identification-only trials.
+    vectors: the rank-r thin SVD of ``x_train = left @ right.T``, taken from
+    its generating factors (``X_r`` and ``Q^T`` for an identification trial,
+    ``U`` and ``V`` for shift and subspace trials) without factoring the
+    n x p latent. It holds exactly r triplets and matches
+    ``svd(x_train)``'s top r to rounding. ``beta_star`` projects
+    ``beta_raw`` onto its right vectors (the minimum-norm model the
+    estimator can identify), shift and subspace ``snr`` read its r-th
+    singular value and the subspace leakage columns read it whole.
+    ``theta_test = x_test @ beta_raw`` holds the expected test responses.
+    Test-side fields are None for identification-only trials.
     """
 
     x_train: np.ndarray
@@ -85,13 +87,18 @@ def gen_factor_uv(n: int, m: int, p: int, seed, r: int = 10):
     X = U V^T with U (n x r) and V (p x r) standard normal, drawn once. Each
     test matrix X' = U' V^T reuses V, with U' (m x r) drawn per shift from
     its own ``(seed, Role.LATENT_TEST, shift)`` stream, so every test
-    rowspace is contained in the train rowspace by construction. A shift
-    trial makes one call and factors its one ``x_train`` once with vectors.
+    rowspace is contained in the train rowspace by construction.
 
     Returns
     -------
     (x_train, {shift: x_test for every Shift})
     """
+    u, v, u_tests = _factor_uv_factors(n, m, p, seed, r)
+    return u @ v.T, {shift: u_test @ v.T for shift, u_test in u_tests.items()}
+
+
+def _factor_uv_factors(n: int, m: int, p: int, seed, r: int):
+    """The generating factors ``(U, V, {shift: U'})`` of :func:`gen_factor_uv`'s matrices."""
     _check_dims(n=n, m=m, p=p, r=r)
     rng = substream(seed, Role.LATENT)
     u = rng.standard_normal((n, r))
@@ -103,7 +110,7 @@ def gen_factor_uv(n: int, m: int, p: int, seed, r: int = 10):
         Shift.U1: rngs[Shift.U1].uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(m, r)),
         Shift.U2: rngs[Shift.U2].uniform(-math.sqrt(15.0), math.sqrt(15.0), size=(m, r)),
     }
-    return u @ v.T, {shift: u_test @ v.T for shift, u_test in u_tests.items()}
+    return u, v, u_tests
 
 
 def gen_rowspan_violation(n: int, m: int, p: int, seed, r: int = 10):
@@ -119,6 +126,12 @@ def gen_rowspan_violation(n: int, m: int, p: int, seed, r: int = 10):
     -------
     (x_train, x_test_ok, x_test_bad)
     """
+    u, v, u_ok, v_bad = _rowspan_violation_factors(n, m, p, seed, r)
+    return u @ v.T, u_ok @ v.T, u @ v_bad.T
+
+
+def _rowspan_violation_factors(n: int, m: int, p: int, seed, r: int):
+    """The generating factors ``(U, V, U', V')`` of :func:`gen_rowspan_violation`'s matrices."""
     _check_dims(n=n, m=m, p=p, r=r)
     if n != m:
         raise BadShape(f"shared left factors require n == m, got {n} != {m}")
@@ -127,7 +140,7 @@ def gen_rowspan_violation(n: int, m: int, p: int, seed, r: int = 10):
     v = rng.standard_normal((p, r))
     u_ok = math.sqrt(5.0) * substream(seed, Role.LATENT_TEST).standard_normal((m, r))
     v_bad = substream(seed, Role.LATENT_TEST_BAD).standard_normal((p, r))
-    return u @ v.T, u_ok @ v.T, u @ v_bad.T
+    return u, v, u_ok, v_bad
 
 
 @dataclass(frozen=True)

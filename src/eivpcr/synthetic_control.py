@@ -119,7 +119,8 @@ def fit_rsc(panel: PanelDataset, k="auto") -> CounterfactualResult:
         Retained rank for the donor pre block, a Python or numpy integer;
         "auto" picks the largest spectral gap, searched over
         [1, min(n, p) - 1], of the rescaled block's singular values
-        (computed without vectors).
+        (computed without vectors). When min(n, p) is 1 (one donor or one
+        pre period) it picks k = 1, the only admissible rank.
 
     Notes
     -----
@@ -138,11 +139,11 @@ def fit_rsc(panel: PanelDataset, k="auto") -> CounterfactualResult:
     if isinstance(k, str):
         if k != "auto":
             raise BadParam(f"k must be an integer or 'auto', got {k!r}")
-        spectrum = _singular_values(rescale(z_pre)[0])
         k_max = min(panel.n, panel.p) - 1
-        if k_max < 1:
-            raise BadParam("panel too small for automatic rank selection")
-        k = select_rank_largest_gap(spectrum, k_max=k_max)
+        if k_max >= 1:
+            k = select_rank_largest_gap(_singular_values(rescale(z_pre)[0]), k_max=k_max)
+        else:
+            k = 1  # one donor or one pre period: the only admissible rank
     model = fit(z_pre, y, k)
     pred = predict_detailed(model, z_post, PredictionConfig(ell=min(model.k, panel.m)))
 

@@ -356,6 +356,21 @@ class TestSc:
         assert header == "time,estimate" and row.split(",")[0] == "8"
         assert np.isfinite(float(row.split(",")[1]))
 
+    def test_auto_rank_on_one_pre_period_is_one(self, tmp_path, capsys):
+        # min(n, p) = 1: the default --k auto takes the only admissible rank
+        panel, _ = _panel_files(tmp_path)
+        outs = {}
+        for extra in ([], ["--k", "1"]):
+            out = tmp_path / f"traj{len(extra)}.csv"
+            code, stdout, stderr = run_cli(
+                ["sc", "--panel", panel, "--target", "target", "--pre", "1", "--out", out, *extra],
+                capsys,
+            )
+            assert code == 0 and stderr == ""
+            assert diag_of(stdout)["k"] == 1
+            outs[len(extra)] = out.read_bytes()
+        assert outs[0] == outs[2]
+
     def test_svd_failure_in_inclusion_check_exits_three(self, tmp_path, capsys, monkeypatch):
         # with k given, the first values-only SVD is the inclusion check's
         # spectral norm; LAPACK's error must surface as NoConverge, exit 3

@@ -24,7 +24,9 @@ from eivpcr.simlab import (
     Shift,
     child,
     experiments,
+    gen_factor_uv,
     gen_prob_pca,
+    gen_rowspan_violation,
     make_identification_trial,
     make_shift_trial,
     make_subspace_trial,
@@ -32,7 +34,7 @@ from eivpcr.simlab import (
     run_experiment_shift,
     run_experiment_subspace,
 )
-from eivpcr.simlab.generators import _prob_pca_factors
+from eivpcr.simlab.generators import _factor_uv_factors, _prob_pca_factors, _rowspan_violation_factors
 
 _IDENT_KEYS = {
     "config", "p", "r", "n", "rescaled_n", "seed", "chosen_k",
@@ -100,27 +102,61 @@ class TestIdentificationRunner:
             run_experiment_identification([27], [])
 
 
-class TestTrainFactors:
-    def test_trials_keep_the_svd_of_x_train(self):
-        # shift and subspace trials factor the n x p latent itself
-        trials = [*make_shift_trial(60, 0.3, 7).values(), *make_subspace_trial(60, 0.3, 7)]
-        for trial in trials:
-            want = svd(trial.x_train)
-            assert_array_equal(trial.train_factors.singular_values, want.singular_values)
-            assert_array_equal(trial.train_factors.right_vectors, want.right_vectors)
-
-    @pytest.mark.parametrize("p, n, r, seed", [(27, 40, 3, 5), (128, 600, 5, 1), (216, 7740, 6, 0)])
-    def test_identification_trial_factors_its_generating_factors(self, p, n, r, seed):
+def _trials_and_generating_factors(kind, dims, seed):
+    """A trial kind's TrialData list, the ``(left, right)`` factors of its
+    ``x_train = left @ right.T`` and its public generator's
+    ``(x_train, x_test)`` pairs, one per TrialData."""
+    if kind == "identification":
+        p, n, r = dims
+        key = child(seed, p, n)
+        x_r, q = _prob_pca_factors(n, p, r, key)
         trial = make_identification_trial(p, n, r, seed)
-        x_r, q = _prob_pca_factors(n, p, r, child(seed, p, n))
-        got, want = trial.train_factors, _svd_of_product(x_r, q.T)
-        assert_array_equal(got.singular_values, want.singular_values)
-        assert_array_equal(got.left_vectors, want.left_vectors)
-        assert_array_equal(got.right_vectors, want.right_vectors)
+        return [trial], (x_r, q.T), [(gen_prob_pca(n, p, r, key), None)]
+    size, sigma2 = dims
+    key = child(seed, experiments._sigma_key(sigma2), size)
+    r = experiments.DEFAULT_FACTOR_RANK
+    if kind == "shift":
+        u, v, _ = _factor_uv_factors(size, size, size, key, r)
+        x_train, x_tests = gen_factor_uv(size, size, size, key)
+        trials = make_shift_trial(size, sigma2, seed)
+        assert list(trials) == list(x_tests)
+        return list(trials.values()), (u, v), [(x_train, x_te) for x_te in x_tests.values()]
+    u, v, _, _ = _rowspan_violation_factors(size, size, size, key, r)
+    x_train, *x_tests = gen_rowspan_violation(size, size, size, key)
+    return list(make_subspace_trial(size, sigma2, seed)), (u, v), [(x_train, x_te) for x_te in x_tests]
+
+
+class TestTrainFactors:
+    @pytest.mark.parametrize("kind, dims, seed", [
+        pytest.param("identification", (27, 40, 3), 5, id="27-40-3-5"),
+        pytest.param("identification", (128, 600, 5), 1, id="128-600-5-1"),
+        pytest.param("identification", (216, 7740, 6), 0, id="216-7740-6-0"),
+        pytest.param("shift", (60, 0.3), 7, id="shift"),
+        pytest.param("subspace", (60, 0.3), 7, id="subspace"),
+    ])
+    def test_identification_trial_factors_its_generating_factors(self, kind, dims, seed):
+        # every trial kind takes its train factors from the generating
+        # factors of x_train, never from the n x p latent
+        trials, (left, right), generated = _trials_and_generating_factors(kind, dims, seed)
+        want = _svd_of_product(left, right)
+        n, r = left.shape
+        p = right.shape[0]
+        for trial, (x_train, x_test) in zip(trials, generated, strict=True):
+            assert_array_equal(trial.x_train, x_train)
+            if x_test is None:
+                assert trial.x_test is None
+            else:
+                assert_array_equal(trial.x_test, x_test)
+            got = trial.train_factors
+            assert_array_equal(got.singular_values, want.singular_values)
+            assert_array_equal(got.left_vectors, want.left_vectors)
+            assert_array_equal(got.right_vectors, want.right_vectors)
+            assert got.singular_values.shape == (r,)
+            assert got.left_vectors.shape == (n, r) and got.right_vectors.shape == (p, r)
         # the dense factorization's top r triplets, to rounding
-        dense = svd(trial.x_train)
-        np.testing.assert_allclose(got.singular_values, dense.singular_values[:r], rtol=1e-13, atol=0)
-        v, w = got.right_vectors, dense.right_vectors[:, :r]
+        dense = svd(trials[0].x_train)
+        np.testing.assert_allclose(want.singular_values, dense.singular_values[:r], rtol=1e-13, atol=0)
+        v, w = want.right_vectors, dense.right_vectors[:, :r]
         assert np.abs(v @ v.T - w @ w.T).max() <= 1e-12
 
     def test_shift_and_subspace_trials_share_one_factorization(self):
@@ -223,12 +259,13 @@ class TestSubspaceRunner:
         assert rec["leakage_bad"] > 0.5
 
     def test_leakage_from_kept_factors_equals_the_public_check(self):
-        # the runner reads the trial's train factors; the matrix form
-        # factors x_train again and must give the same bits
+        # the runner reads the trial's rank-r train factors, taken from the
+        # generating factors; the matrix form factors x_train densely, so
+        # the two agree to rounding (leakage_ok itself is rounding, ~1e-15)
         rec = run_experiment_subspace([0.2], [0], 60).records[0]
         trial_ok, trial_bad = make_subspace_trial(60, 0.2, 0)
-        assert rec["leakage_ok"] == check_subspace_inclusion(trial_ok.x_train, trial_ok.x_test)
-        assert rec["leakage_bad"] == check_subspace_inclusion(trial_bad.x_train, trial_bad.x_test)
+        for col, trial in (("leakage_ok", trial_ok), ("leakage_bad", trial_bad)):
+            assert abs(rec[col] - check_subspace_inclusion(trial.x_train, trial.x_test)) <= 1e-12
 
     def test_shared_test_noise(self):
         trial_ok, trial_bad = make_subspace_trial(60, 0.4, 1)

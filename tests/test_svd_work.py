@@ -12,9 +12,11 @@ Callers that read only the spectrum go through the values-only path, and
 the synthetic-controls inclusion check runs on k x p row factors instead of
 full reconstructions. The SVD counts stay at 2/1/1/6 per CLI command and 3
 per identification trial, two of which run on r x r matrices built from the
-latent's generating factors through ``numpy.linalg.qr``'s reduced QRs. A lab
-trial factors each input matrix at most twice, once with vectors and once
-without: 9 calls per subspace trial and 11 per shift trial.
+latent's generating factors through ``numpy.linalg.qr``'s reduced QRs. Shift
+and subspace trials take their train factors the same way and never factor
+the n x p latent. A lab trial factors each input matrix at most twice, once
+with vectors and once without: 8 calls per subspace trial and 10 per shift
+trial.
 """
 import hashlib
 import json
@@ -202,17 +204,18 @@ def test_identification_trial_calls(lapack_calls, qr_calls):
 
 
 @pytest.mark.parametrize("run, want", [
-    # beta_star (vectors), fit, two predicts; snr; two inclusion checks'
-    # spectral norms; the leakage reads the trial's kept train factors
-    (run_experiment_subspace, (9, 4, 3)),
-    # beta_star (vectors), fit, four predicts; train snr and four test snrs
-    (run_experiment_shift, (11, 6, 5)),
+    # train factors (vectors, r x r core), fit, two predicts; two inclusion
+    # checks' spectral norms; snr and the leakage read the kept train factors
+    (run_experiment_subspace, (8, 4, 5)),
+    # train factors (vectors, r x r core), fit, four predicts; four test
+    # snrs; snr reads the kept train factors
+    (run_experiment_shift, (10, 6, 7)),
 ], ids=["subspace", "shift"])
 def test_lab_trial_factors_each_input_once_per_kind(lapack_inputs, qr_calls, run, want):
     # noisy, so z_train and z_test differ from the latent matrices
     assert len(run([0.2], [0], 60).records) == 1
     vectors = sum(1 for uv, _ in lapack_inputs if uv)
-    # one QR per fit and per predict
+    # one QR per generating factor (U, V), per fit and per predict
     assert (len(lapack_inputs), vectors, len(qr_calls)) == want
     # no matrix reaches LAPACK twice with vectors, or twice without
     assert max(Counter(lapack_inputs).values()) == 1

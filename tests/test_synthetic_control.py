@@ -136,13 +136,19 @@ class TestFitRsc:
             with pytest.raises(BadParam, match=re.escape(repr(k))):
                 fit_rsc(panel, k=k)
 
-    def test_auto_needs_room(self):
-        vals = np.random.default_rng(2).normal(size=(3, 2))
+    @pytest.mark.parametrize("shape, pre", [((3, 2), 2), ((3, 4), 1), ((2, 2), 1)],
+                             ids=["one-donor", "one-pre-period", "both"])
+    def test_auto_picks_rank_one_when_min_n_p_is_one(self, shape, pre):
+        # k = 1 is the only admissible rank, so "auto" takes it
+        vals = np.random.default_rng(2).normal(size=shape)
         panel = PanelDataset(
-            outcomes=MaskedMatrix.from_dense(vals), target_col=0, pre_periods=1
+            outcomes=MaskedMatrix.from_dense(vals), target_col=0, pre_periods=pre
         )
-        with pytest.raises(BadParam):
-            fit_rsc(panel, k="auto")
+        assert min(panel.n, panel.p) == 1
+        auto, one = fit_rsc(panel, k="auto"), fit_rsc(panel, k=1)
+        assert auto.diagnostics["k"] == 1
+        assert_array_equal(auto.trajectory, one.trajectory)
+        assert_array_equal(auto.beta_hat, one.beta_hat)
 
     def test_diagnostics_are_finite_scalars(self):
         panel, *_ = _exact_panel()
