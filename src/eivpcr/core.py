@@ -133,21 +133,9 @@ class SvdFactors:
     right_vectors: np.ndarray
 
     def __post_init__(self):
-        self._store(
-            np.array(self.singular_values, dtype=float),
-            np.array(self.left_vectors, dtype=float),
-            np.array(self.right_vectors, dtype=float),
-        )
-
-    @classmethod
-    def _of_fresh(cls, s, u, v) -> "SvdFactors":
-        """Factors over float arrays that no caller holds, such as LAPACK's
-        outputs: frozen in place, where the public constructor copies."""
-        factors = object.__new__(cls)
-        factors._store(s, u, v)
-        return factors
-
-    def _store(self, s, u, v):
+        s = np.array(self.singular_values, dtype=float)
+        u = np.array(self.left_vectors, dtype=float)
+        v = np.array(self.right_vectors, dtype=float)
         if s.ndim != 1 or u.ndim != 2 or v.ndim != 2:
             raise BadShape("factors must be (q,), (rows, q), (cols, q)")
         if u.shape[1] != s.shape[0] or v.shape[1] != s.shape[0]:
@@ -191,7 +179,7 @@ def svd(m) -> SvdFactors:
     """
     u, s, vt = _lapack_svd(m, full_matrices=False)
     _apply_sign_convention(vt, u)  # in place: LAPACK's outputs are ours
-    return SvdFactors._of_fresh(s, u, vt.T)
+    return SvdFactors(s, u, vt.T)
 
 
 def _svd_of_product(left, right) -> SvdFactors:
@@ -212,7 +200,7 @@ def _svd_of_product(left, right) -> SvdFactors:
     u = q_l @ u
     vt = vt @ q_r.T
     _apply_sign_convention(vt, u)
-    return SvdFactors._of_fresh(s, u, vt.T)
+    return SvdFactors(s, u, vt.T)
 
 
 def _qr_r(f: np.ndarray) -> np.ndarray:

@@ -10,18 +10,19 @@ same process-wide pin the CLI holds around every command. Reports are then
 bit-identical regardless of execution order, worker count or the process's
 BLAS thread setting. Without that library, trials run on the process's own
 BLAS threading, and their last bits may depend on it.
-Every trial builds its latent ``x_train = left @ right.T`` from its n x r
-and p x r generating factors (``X_r`` and ``Q^T`` for identification, ``U``
-and ``V`` for shift and subspace) and takes its rank-r thin SVD from them
-through the r x r core, kept as ``TrialData.train_factors``; the n x p
-latent is never factorized. Those factors give beta_star, shift and subspace
-``snr`` and the ``leakage_*`` columns. Identification's ``snr`` takes a
-values-only SVD of the r x r matrix ``U_r^T x_train V_r``, and shift's
-``snr_test_*`` one of each test latent. The error columns come from the fit
-and predict SVDs of the corrupted designs. Those take their small-side QR
-from LAPACK's ``dgeqrf`` outside the GIL (:func:`eivpcr.core._qr_r`), so the
-thread-pool workers overlap in it; only the ``_svd_of_product`` QRs of the
-generating factors stay in ``numpy.linalg.qr``.
+Every trial builds its latent ``x_train = left @ right.T`` from the n x r
+and p x r factors its ``gen_*`` generator returns (``X_r`` and ``Q^T`` for
+identification, ``U`` and ``V`` for shift and subspace) and takes its rank-r
+thin SVD from them through the r x r core, kept as
+``TrialData.train_factors``; the n x p latent is never factorized. Those
+factors give beta_star, shift and subspace ``snr`` and the ``leakage_*``
+columns. Identification's ``snr`` takes a values-only SVD of the r x r
+matrix ``U_r^T x_train V_r``, and shift's ``snr_test_*`` one of each test
+latent. The error columns come from the fit and predict SVDs of the
+corrupted designs. Those take their small-side QR from LAPACK's ``dgeqrf``
+outside the GIL (:func:`eivpcr.core._qr_r`), so the thread-pool workers
+overlap in it; only the ``_svd_of_product`` QRs of the generating factors
+stay in ``numpy.linalg.qr``.
 """
 from __future__ import annotations
 
@@ -38,7 +39,8 @@ from ..core import _singular_values, _svd_of_product
 from ..errors import BadParam
 from ..pcr import PredictionConfig, _inclusion_leakage, fit, predict
 from .generators import (
-    Shift, TrialData, _factor_uv_factors, _prob_pca_factors, _rowspan_violation_factors, corrupt,
+    DEFAULT_FACTOR_RANK, Shift, TrialData, corrupt, gen_factor_uv, gen_prob_pca,
+    gen_rowspan_violation,
 )
 from ..metrics import mean_squared_error, rmse, snr_report
 from .streams import Role, child, substream
@@ -47,9 +49,6 @@ from .streams import Role, child, substream
 IDENTIFICATION_RATIOS = tuple(float(t) for t in np.geomspace(1.0, 40.0, 8))
 
 IDENTIFICATION_SIGMA2 = 0.2
-# factor rank of every shift and subspace trial, fitted and predicted at
-# this rank too
-DEFAULT_FACTOR_RANK = 10
 
 # sub-keys distinguishing the corruption streams of one trial
 _CORRUPT_TRAIN = 100
@@ -163,15 +162,15 @@ def _config(kind, n, m, p, r, sigma2) -> str:
 def make_identification_trial(p: int, n: int, r: int, seed) -> TrialData:
     """Assemble one identification trial (no test set).
 
-    Latent covariates are :func:`gen_prob_pca`'s draw, bit for bit:
-    ``x_train = X_r Q``. ``train_factors`` is the rank-r thin SVD of that
-    product, taken from X_r and Q through their r x r core (see
+    Latent covariates are the product of the factors :func:`gen_prob_pca`
+    returns: ``x_train = X_r Q``. ``train_factors`` is the rank-r thin SVD
+    of that product, taken from X_r and Q through their r x r core (see
     :class:`TrialData`). Responses are y = X beta + eps with standard
     normal beta and noise variance 0.2 on both the responses and the
     covariates; nothing is masked.
     """
     trial = child(seed, p, n)
-    x_r, q = _prob_pca_factors(n, p, r, trial)
+    x_r, q = gen_prob_pca(n, p, r, trial)
     return _trial(x_r, q.T, None, IDENTIFICATION_SIGMA2, trial)
 
 
@@ -228,14 +227,14 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
 def make_shift_trial(size: int, sigma2: float, seed) -> dict:
     """Assemble one covariate-shift trial: a TrialData per shift.
 
-    Latents are :func:`gen_factor_uv`'s draw, bit for bit; ``train_factors``
-    come from its U and V (see :class:`TrialData`). All four test designs
-    share the train matrix, its factors, and the test-side noise draw; only
-    the test factor distribution changes.
+    Latents are products of the factors :func:`gen_factor_uv` returns;
+    ``train_factors`` come from its U and V (see :class:`TrialData`). All
+    four test designs share the train matrix, its factors, and the
+    test-side noise draw; only the test factor distribution changes.
     """
     n = int(size)
     trial = child(seed, _sigma_key(sigma2), size)
-    u, v, u_tests = _factor_uv_factors(n, n, n, trial, DEFAULT_FACTOR_RANK)
+    u, v, u_tests = gen_factor_uv(n, n, n, trial)
     x_tests = [u_test @ v.T for u_test in u_tests.values()]
     return dict(zip(u_tests, _trial(u, v, x_tests, sigma2, trial)))
 
@@ -274,14 +273,14 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentRep
 
 def make_subspace_trial(size: int, sigma2: float, seed):
     """Assemble ``(trial_ok, trial_bad)``, the inclusion-preserving and
-    inclusion-violating trials. Latents are :func:`gen_rowspan_violation`'s
-    draw, bit for bit; ``train_factors`` come from its U and V (see
-    :class:`TrialData`). Both test designs share the train matrix, its
-    factors and the test-side noise draw.
+    inclusion-violating trials. Latents are products of the factors
+    :func:`gen_rowspan_violation` returns; ``train_factors`` come from its
+    U and V (see :class:`TrialData`). Both test designs share the train
+    matrix, its factors and the test-side noise draw.
     """
     n = int(size)
     trial = child(seed, _sigma_key(sigma2), size)
-    u, v, u_ok, v_bad = _rowspan_violation_factors(n, n, n, trial, DEFAULT_FACTOR_RANK)
+    u, v, u_ok, v_bad = gen_rowspan_violation(n, n, n, trial)
     return tuple(_trial(u, v, (u_ok @ v.T, u @ v_bad.T), sigma2, trial))
 
 
@@ -341,7 +340,9 @@ def _noise_sweep(noise_grid, seeds, size):
     size = int(size)
     if size < 50:
         raise BadParam(f"size={size} must be >= 50")
-    grid = [float(v) for v in noise_grid]
+    # + 0.0 turns -0.0 into 0.0: both draw the streams of key 0, so they
+    # must carry one label and one sigma2 value
+    grid = [float(v) + 0.0 for v in noise_grid]
     if not grid:
         raise BadParam("noise grid must be nonempty")
     if any(not math.isfinite(v) or v < 0 for v in grid):

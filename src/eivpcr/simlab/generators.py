@@ -1,9 +1,10 @@
 """Seeded generators for the simulation studies.
 
-Each generator draws latent (noiseless) covariates; ``corrupt`` adds
-measurement noise and an observation mask as a separate, independently
-seeded step. All functions are pure in (parameters, seed): calling twice
-yields bit-identical arrays.
+The ``gen_*`` factor-model generators return the generating factors of
+latent (noiseless) covariates, not their products: a caller forms
+``x_r @ q`` or ``u @ v.T``. ``corrupt`` adds measurement noise and an
+observation mask as a separate, independently seeded step. All functions
+are pure in (parameters, seed): calling twice yields bit-identical arrays.
 """
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ from ..errors import BadParam, BadShape
 from ..pcr import _rank
 from ..synthetic_control import PanelDataset
 from .streams import Role, child, substream
+
+# factor rank of every shift and subspace trial, fitted and predicted at
+# this rank too
+DEFAULT_FACTOR_RANK = 10
 
 
 class Shift(IntEnum):
@@ -40,9 +45,9 @@ class TrialData:
 
     ``train_factors`` is the trial's one factorization of ``x_train`` with
     vectors: the rank-r thin SVD of ``x_train = left @ right.T``, taken from
-    its generating factors (``X_r`` and ``Q^T`` for an identification trial,
-    ``U`` and ``V`` for shift and subspace trials) without factoring the
-    n x p latent. It holds exactly r triplets and matches
+    the factors its ``gen_*`` returns (``X_r`` and ``Q^T`` for
+    identification, ``U`` and ``V`` for shift and subspace) without
+    factoring the n x p latent. It holds exactly r triplets and matches
     ``svd(x_train)``'s top r to rounding. ``beta_star`` projects
     ``beta_raw`` onto its right vectors (the minimum-norm model the
     estimator can identify), shift and subspace ``snr`` read its r-th
@@ -62,18 +67,12 @@ class TrialData:
     theta_test: np.ndarray | None = None
 
 
-def gen_prob_pca(n: int, p: int, r: int, seed) -> np.ndarray:
-    """Rank-r latent covariates X = X_r Q.
+def gen_prob_pca(n: int, p: int, r: int, seed):
+    """The factors ``(X_r, Q)`` of rank-r latent covariates X = X_r Q.
 
     X_r is n x r with standard normal entries; Q is r x p with entries
     drawn uniformly from {-1/sqrt(r), +1/sqrt(r)}.
     """
-    x_r, q = _prob_pca_factors(n, p, r, seed)
-    return x_r @ q
-
-
-def _prob_pca_factors(n: int, p: int, r: int, seed):
-    """The generating factors ``(X_r, Q)`` of :func:`gen_prob_pca`'s X."""
     _check_dims(n=n, p=p, r=r)
     rng = substream(seed, Role.LATENT)
     x_r = rng.standard_normal((n, r))
@@ -81,8 +80,8 @@ def _prob_pca_factors(n: int, p: int, r: int, seed):
     return x_r, q
 
 
-def gen_factor_uv(n: int, m: int, p: int, seed, r: int = 10):
-    """One train latent and a test latent per shift, sharing right factors.
+def gen_factor_uv(n: int, m: int, p: int, seed, r: int = DEFAULT_FACTOR_RANK):
+    """Factors of one train latent and a test latent per shift, sharing V.
 
     X = U V^T with U (n x r) and V (p x r) standard normal, drawn once. Each
     test matrix X' = U' V^T reuses V, with U' (m x r) drawn per shift from
@@ -91,14 +90,8 @@ def gen_factor_uv(n: int, m: int, p: int, seed, r: int = 10):
 
     Returns
     -------
-    (x_train, {shift: x_test for every Shift})
+    (U, V, {shift: U' for every Shift})
     """
-    u, v, u_tests = _factor_uv_factors(n, m, p, seed, r)
-    return u @ v.T, {shift: u_test @ v.T for shift, u_test in u_tests.items()}
-
-
-def _factor_uv_factors(n: int, m: int, p: int, seed, r: int):
-    """The generating factors ``(U, V, {shift: U'})`` of :func:`gen_factor_uv`'s matrices."""
     _check_dims(n=n, m=m, p=p, r=r)
     rng = substream(seed, Role.LATENT)
     u = rng.standard_normal((n, r))
@@ -113,25 +106,20 @@ def _factor_uv_factors(n: int, m: int, p: int, seed, r: int):
     return u, v, u_tests
 
 
-def gen_rowspan_violation(n: int, m: int, p: int, seed, r: int = 10):
-    """Train matrix plus one inclusion-preserving and one violating test set.
+def gen_rowspan_violation(n: int, m: int, p: int, seed, r: int = DEFAULT_FACTOR_RANK):
+    """Factors of a train latent, an inclusion-preserving and a violating test latent.
 
-    x_test_ok = U' V^T shares the train right factors (U' normal with
-    variance 5, a distribution shift). x_test_bad = U V'^T reuses the train
-    left factors with fresh standard normal right factors: its marginal
-    distribution matches the train matrix, but its rowspace is new. The
-    shared-U construction requires n == m.
+    The train matrix is U V^T. The preserving test set U' V^T shares the
+    train right factors (U' normal with variance 5, a distribution shift).
+    The violating test set U V'^T reuses the train left factors with fresh
+    standard normal right factors: its marginal distribution matches the
+    train matrix, but its rowspace is new. The shared-U construction
+    requires n == m.
 
     Returns
     -------
-    (x_train, x_test_ok, x_test_bad)
+    (U, V, U', V')
     """
-    u, v, u_ok, v_bad = _rowspan_violation_factors(n, m, p, seed, r)
-    return u @ v.T, u_ok @ v.T, u @ v_bad.T
-
-
-def _rowspan_violation_factors(n: int, m: int, p: int, seed, r: int):
-    """The generating factors ``(U, V, U', V')`` of :func:`gen_rowspan_violation`'s matrices."""
     _check_dims(n=n, m=m, p=p, r=r)
     if n != m:
         raise BadShape(f"shared left factors require n == m, got {n} != {m}")

@@ -562,6 +562,18 @@ class TestExperiment:
         assert error_of(stderr) == {"error": "BadParam", "message": message}
         assert not out.exists()
 
+    def test_negative_zero_noise_writes_the_bytes_of_zero(self, tmp_path, capsys):
+        outs = []
+        for noise in ("-0.0", "0"):
+            out = tmp_path / noise
+            code, _, _ = run_cli(
+                ["experiment", "--name", "subspace", "--size", "50", "--seeds", "1",
+                 "--noise", noise, "--out", out], capsys
+            )
+            assert code == 0
+            outs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregates.json")])
+        assert outs[0] == outs[1]
+
     def test_out_naming_a_file_is_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch):
         def no_trials(*args):
             raise AssertionError("trials ran")

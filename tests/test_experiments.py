@@ -34,7 +34,6 @@ from eivpcr.simlab import (
     run_experiment_shift,
     run_experiment_subspace,
 )
-from eivpcr.simlab.generators import _factor_uv_factors, _prob_pca_factors, _rowspan_violation_factors
 
 _IDENT_KEYS = {
     "config", "p", "r", "n", "rescaled_n", "seed", "chosen_k",
@@ -46,7 +45,8 @@ class TestIdentificationTrial:
     def test_response_and_model_construction(self):
         trial = make_identification_trial(p=27, n=40, r=3, seed=5)
         assert trial.x_train.shape == (40, 27)
-        assert_array_equal(trial.x_train, gen_prob_pca(40, 27, 3, child(5, 27, 40)))
+        x_r, q = gen_prob_pca(40, 27, 3, child(5, 27, 40))
+        assert_array_equal(trial.x_train, x_r @ q)
         assert trial.z_train.mask.all()          # no masking in this design
         assert not np.array_equal(trial.z_train.values, trial.x_train)
         # beta_star is the rowspan projection of the raw draw
@@ -104,26 +104,27 @@ class TestIdentificationRunner:
 
 def _trials_and_generating_factors(kind, dims, seed):
     """A trial kind's TrialData list, the ``(left, right)`` factors of its
-    ``x_train = left @ right.T`` and its public generator's
-    ``(x_train, x_test)`` pairs, one per TrialData."""
+    ``x_train = left @ right.T`` and the ``(x_train, x_test)`` products of
+    its public generator's factors, one pair per TrialData."""
     if kind == "identification":
         p, n, r = dims
-        key = child(seed, p, n)
-        x_r, q = _prob_pca_factors(n, p, r, key)
+        x_r, q = gen_prob_pca(n, p, r, child(seed, p, n))
         trial = make_identification_trial(p, n, r, seed)
-        return [trial], (x_r, q.T), [(gen_prob_pca(n, p, r, key), None)]
+        return [trial], (x_r, q.T), [(x_r @ q, None)]
     size, sigma2 = dims
     key = child(seed, experiments._sigma_key(sigma2), size)
-    r = experiments.DEFAULT_FACTOR_RANK
     if kind == "shift":
-        u, v, _ = _factor_uv_factors(size, size, size, key, r)
-        x_train, x_tests = gen_factor_uv(size, size, size, key)
+        u, v, u_tests = gen_factor_uv(size, size, size, key)
         trials = make_shift_trial(size, sigma2, seed)
-        assert list(trials) == list(x_tests)
-        return list(trials.values()), (u, v), [(x_train, x_te) for x_te in x_tests.values()]
-    u, v, _, _ = _rowspan_violation_factors(size, size, size, key, r)
-    x_train, *x_tests = gen_rowspan_violation(size, size, size, key)
-    return list(make_subspace_trial(size, sigma2, seed)), (u, v), [(x_train, x_te) for x_te in x_tests]
+        assert list(trials) == list(u_tests)
+        x_tests = [u_te @ v.T for u_te in u_tests.values()]
+        trials = list(trials.values())
+    else:
+        u, v, u_ok, v_bad = gen_rowspan_violation(size, size, size, key)
+        x_tests = [u_ok @ v.T, u @ v_bad.T]
+        trials = list(make_subspace_trial(size, sigma2, seed))
+    x_train = u @ v.T
+    return trials, (u, v), [(x_train, x_te) for x_te in x_tests]
 
 
 class TestTrainFactors:
@@ -343,6 +344,14 @@ class TestConfigLabels:
         rec = run_experiment_subspace([0.2], [0], 60).records[0]
         assert rec["config"] == "factor_rowspan_violation/n60/m60/p60/r10/sig0.447214/rho1"
 
+    def test_negative_zero_noise_is_zero(self):
+        # -0.0 draws the streams of 0.0, so it carries 0.0's label and value;
+        # repr tells -0.0 from 0.0, which == does not
+        for run in (run_experiment_shift, run_experiment_subspace):
+            neg, zero = run([-0.0], [0], 50), run([0.0], [0], 50)
+            assert repr(neg) == repr(zero)
+            assert "/sig0/" in neg.records[0]["config"]
+
 
 class TestRunnerPath:
     def test_runners_use_the_module_globals_and_submit_largest_first(self, monkeypatch):
@@ -448,15 +457,21 @@ class TestSingleThreadedBlas:
 
     def test_stress_more_runners_than_cores(self, blas_count):
         # a lost update of the shared entry count would restore the count
-        # while another runner is still inside, and a trial would see it
+        # while another holder is still inside, and a read would see it;
+        # every 40th pass also runs trials through a runner's thread pool
         before = blas_count()
         seen = []
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             def runner():
-                for _ in range(2000):
-                    seen.extend(experiments._run_trials(lambda i: blas_count(), [(0,), (1,)], 1))
+                for i in range(2000):
+                    with _blas._single_threaded_blas():
+                        seen.append(blas_count())
+                        seen.append(blas_count())
+                    if i % 40 == 0:
+                        trials = [(0,), (1,)]
+                        seen.extend(experiments._run_trials(lambda k: blas_count(), trials, 1))
 
             workers = [threading.Thread(target=runner) for _ in range(16)]
             for w in workers:
@@ -466,7 +481,7 @@ class TestSingleThreadedBlas:
                 assert not w.is_alive()
         finally:
             sys.setswitchinterval(old)
-        assert seen == [1] * 64000
+        assert seen == [1] * (16 * (2000 * 2 + 50 * 2))
         assert blas_count() == before
 
     def test_runners_work_without_the_library(self, monkeypatch):

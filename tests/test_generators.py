@@ -48,7 +48,9 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
     def test_int_seed_equals_empty_child(self):
-        assert_array_equal(gen_prob_pca(6, 8, 2, 5), gen_prob_pca(6, 8, 2, child(5)))
+        pairs = zip(gen_prob_pca(6, 8, 2, 5), gen_prob_pca(6, 8, 2, child(5)), strict=True)
+        for got, want in pairs:
+            assert_array_equal(got, want)
 
     def test_negative_seed_is_rejected_by_name(self):
         for derive in (lambda: child(-1, 3), lambda: substream(-1, Role.NOISE)):
@@ -73,9 +75,9 @@ class TestStreams:
 
 class TestProbPca:
     def test_shape_and_rank(self):
-        x = gen_prob_pca(40, 27, 3, 0)
-        assert x.shape == (40, 27)
-        assert _numerical_rank(x) == 3
+        x_r, q = gen_prob_pca(40, 27, 3, 0)
+        assert x_r.shape == (40, 3) and q.shape == (3, 27)
+        assert _numerical_rank(x_r @ q) == 3
 
     def test_stream_rederivation(self):
         # white box: the exact draws behind X = X_r Q
@@ -83,10 +85,12 @@ class TestProbPca:
         x_r = rng.standard_normal((12, 4))
         q = rng.choice([-1.0, 1.0], size=(4, 9)) / math.sqrt(4)
         assert np.all(np.isin(np.abs(q * math.sqrt(4)), [1.0]))
-        assert_array_equal(gen_prob_pca(12, 9, 4, 17), x_r @ q)
+        got_x_r, got_q = gen_prob_pca(12, 9, 4, 17)
+        assert_array_equal(got_x_r, x_r)
+        assert_array_equal(got_q, q)
 
     def test_seeds_differ(self):
-        assert not np.array_equal(gen_prob_pca(8, 8, 2, 0), gen_prob_pca(8, 8, 2, 1))
+        assert not np.array_equal(gen_prob_pca(8, 8, 2, 0)[0], gen_prob_pca(8, 8, 2, 1)[0])
 
     def test_bad_dims(self):
         with pytest.raises(BadShape):
@@ -105,53 +109,49 @@ def test_generators_reject_non_integer_dims_by_name(build, name):
 
 class TestFactorUv:
     def test_train_is_shared_across_shifts(self):
-        # one n x p train latent for all four shifts, each with an m x p test
-        x_tr, x_tests = gen_factor_uv(30, 20, 25, 3, r=4)
-        assert x_tr.shape == (30, 25)
-        assert list(x_tests) == list(Shift)
-        assert all(x_te.shape == (20, 25) for x_te in x_tests.values())
+        # one n x r U and p x r V for all four shifts, each with an m x r U'
+        u, v, u_tests = gen_factor_uv(30, 20, 25, 3, r=4)
+        assert u.shape == (30, 4) and v.shape == (25, 4)
+        assert list(u_tests) == list(Shift)
+        assert all(u_te.shape == (20, 4) for u_te in u_tests.values())
 
     def test_test_factors_differ_across_shifts(self):
-        tests = list(gen_factor_uv(30, 20, 25, 3, r=4)[1].values())
+        tests = list(gen_factor_uv(30, 20, 25, 3, r=4)[2].values())
         for i in range(len(tests)):
             for j in range(i + 1, len(tests)):
                 assert not np.array_equal(tests[i], tests[j])
 
     def test_rowspace_inclusion_for_every_shift(self):
-        x_tr, x_tests = gen_factor_uv(30, 20, 25, 3, r=4)
-        for s, x_te in x_tests.items():
-            assert check_subspace_inclusion(x_tr, x_te) <= 1e-8, s
+        u, v, u_tests = gen_factor_uv(30, 20, 25, 3, r=4)
+        for s, u_te in u_tests.items():
+            assert check_subspace_inclusion(u @ v.T, u_te @ v.T) <= 1e-8, s
 
     def test_stream_rederivation(self):
         rng = substream(9, Role.LATENT)
         u = rng.standard_normal((15, 3))
         v = rng.standard_normal((10, 3))
-        x_tr, x_tests = gen_factor_uv(15, 12, 10, 9, r=3)
-        assert_array_equal(x_tr, u @ v.T)
+        got_u, got_v, u_tests = gen_factor_uv(15, 12, 10, 9, r=3)
+        assert_array_equal(got_u, u)
+        assert_array_equal(got_v, v)
         # each shift draws from its own (seed, LATENT_TEST, shift) stream
         scale = {Shift.N1: 1.0, Shift.N2: math.sqrt(5.0)}
         for s in (Shift.N1, Shift.N2):
             rng_s = substream(9, Role.LATENT_TEST, int(s))
-            assert_array_equal(x_tests[s], (scale[s] * rng_s.standard_normal((12, 3))) @ v.T)
+            assert_array_equal(u_tests[s], scale[s] * rng_s.standard_normal((12, 3)))
         for s, half in ((Shift.U1, math.sqrt(3.0)), (Shift.U2, math.sqrt(15.0))):
             rng_s = substream(9, Role.LATENT_TEST, int(s))
-            assert_array_equal(x_tests[s], rng_s.uniform(-half, half, size=(12, 3)) @ v.T)
+            assert_array_equal(u_tests[s], rng_s.uniform(-half, half, size=(12, 3)))
 
     def test_shift_moments_and_support(self):
         m, r = 2000, 10
-        _, draws = gen_factor_uv(11, m, 11, 123, r=r)
-        # recover the raw factors via the shared right factors
-        rng = substream(123, Role.LATENT)
-        rng.standard_normal((11, r))
-        v = rng.standard_normal((11, r))
-        v_pinv = np.linalg.pinv(v.T)
+        _, _, u_tests = gen_factor_uv(11, m, 11, 123, r=r)
         for s, want_var, bound in (
             (Shift.N1, 1.0, None),
             (Shift.N2, 5.0, None),
             (Shift.U1, 1.0, math.sqrt(3.0)),
             (Shift.U2, 5.0, math.sqrt(15.0)),
         ):
-            u_test = draws[s] @ v_pinv
+            u_test = u_tests[s]
             var = float(np.var(u_test))
             assert var == pytest.approx(want_var, abs=0.25), s
             if bound is not None:
@@ -166,14 +166,16 @@ class TestRowspanViolation:
             gen_rowspan_violation(10, 12, 8, 0, r=2)
 
     def test_inclusion_and_violation(self):
-        x_tr, x_ok, x_bad = gen_rowspan_violation(100, 100, 100, 5)
-        assert check_subspace_inclusion(x_tr, x_ok) <= 1e-8
-        assert check_subspace_inclusion(x_tr, x_bad) > 0.5
+        u, v, u_ok, v_bad = gen_rowspan_violation(100, 100, 100, 5)
+        assert u.shape[1] == 10  # the default factor rank
+        x_tr = u @ v.T
+        assert check_subspace_inclusion(x_tr, u_ok @ v.T) <= 1e-8
+        assert check_subspace_inclusion(x_tr, u @ v_bad.T) > 0.5
 
     def test_bad_design_shares_left_factors(self):
-        x_tr, _, x_bad = gen_rowspan_violation(60, 60, 50, 2, r=4)
+        u, v, _, v_bad = gen_rowspan_violation(60, 60, 50, 2, r=4)
         # same column space (left factors), different row space
-        assert check_subspace_inclusion(x_tr.T, x_bad.T) <= 1e-8
+        assert check_subspace_inclusion((u @ v.T).T, (u @ v_bad.T).T) <= 1e-8
 
     def test_stream_rederivation(self):
         rng = substream(4, Role.LATENT)
@@ -181,10 +183,9 @@ class TestRowspanViolation:
         v = rng.standard_normal((15, 5))
         u_ok = math.sqrt(5.0) * substream(4, Role.LATENT_TEST).standard_normal((20, 5))
         v_bad = substream(4, Role.LATENT_TEST_BAD).standard_normal((15, 5))
-        x_tr, x_ok, x_bad = gen_rowspan_violation(20, 20, 15, 4, r=5)
-        assert_array_equal(x_tr, u @ v.T)
-        assert_array_equal(x_ok, u_ok @ v.T)
-        assert_array_equal(x_bad, u @ v_bad.T)
+        got = gen_rowspan_violation(20, 20, 15, 4, r=5)
+        for g, want in zip(got, (u, v, u_ok, v_bad), strict=True):
+            assert_array_equal(g, want)
 
 
 class TestPanelIfe:
