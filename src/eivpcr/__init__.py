@@ -5,100 +5,49 @@ fraction, keep the top singular directions, and regress through their
 pseudo-inverse; prediction re-denoises the test design before applying the
 fitted coefficients. A synthetic-controls wrapper frames counterfactual
 estimation as out-of-sample prediction on a donor panel.
+
+The public names load lazily (PEP 562): ``import eivpcr`` imports no
+numpy, and each name is looked up in its submodule on every access, so
+``eivpcr.fit is eivpcr.pcr.fit`` always holds. ``python -m eivpcr.cli``
+relies on this to set the BLAS thread count before numpy loads.
 """
-from .core import (
-    MaskedMatrix,
-    SvdFactors,
-    estimate_rho,
-    rescale,
-    spectral_norm,
-    svd,
-    truncate_rank,
-)
-from .errors import (
-    AllMissing,
-    AllZero,
-    BadParam,
-    BadShape,
-    CorruptModel,
-    DegenerateSpectrum,
-    EivPcrError,
-    EmptySpectrum,
-    NoConverge,
-    NonFinite,
-    ParseError,
-    Ragged,
-    RankOutOfRange,
-    SchemaMismatch,
-    ShapeMismatch,
-    TargetMissingPre,
-    UnknownUnit,
-)
-from .metrics import mean_squared_error, rmse, snr_report
-from .pcr import (
-    PcrModel,
-    Prediction,
-    PredictionConfig,
-    check_subspace_inclusion,
-    fit,
-    predict,
-    predict_detailed,
-)
-from .rank_selection import (
-    gap_ratios,
-    select_rank_energy,
-    select_rank_largest_gap,
-)
-from .synthetic_control import (
-    CounterfactualResult,
-    PanelDataset,
-    counterfactual_error,
-    fit_rsc,
-)
+import importlib
+
+# submodule -> the public names it defines; the one source of __all__
+_PUBLIC = {
+    "core": (
+        "MaskedMatrix", "SvdFactors", "estimate_rho", "rescale", "spectral_norm", "svd",
+        "truncate_rank",
+    ),
+    "errors": (
+        "AllMissing", "AllZero", "BadParam", "BadShape", "CorruptModel",
+        "DegenerateSpectrum", "EivPcrError", "EmptySpectrum", "NoConverge", "NonFinite",
+        "ParseError", "Ragged", "RankOutOfRange", "SchemaMismatch", "ShapeMismatch",
+        "TargetMissingPre", "UnknownUnit",
+    ),
+    "metrics": ("mean_squared_error", "rmse", "snr_report"),
+    "pcr": (
+        "PcrModel", "Prediction", "PredictionConfig", "check_subspace_inclusion", "fit",
+        "predict", "predict_detailed",
+    ),
+    "rank_selection": ("gap_ratios", "select_rank_energy", "select_rank_largest_gap"),
+    "synthetic_control": (
+        "CounterfactualResult", "PanelDataset", "counterfactual_error", "fit_rsc",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllMissing",
-    "AllZero",
-    "BadParam",
-    "BadShape",
-    "CorruptModel",
-    "CounterfactualResult",
-    "DegenerateSpectrum",
-    "EivPcrError",
-    "EmptySpectrum",
-    "MaskedMatrix",
-    "NoConverge",
-    "NonFinite",
-    "PanelDataset",
-    "ParseError",
-    "PcrModel",
-    "Prediction",
-    "PredictionConfig",
-    "Ragged",
-    "RankOutOfRange",
-    "SchemaMismatch",
-    "ShapeMismatch",
-    "SvdFactors",
-    "TargetMissingPre",
-    "UnknownUnit",
-    "check_subspace_inclusion",
-    "counterfactual_error",
-    "estimate_rho",
-    "fit",
-    "fit_rsc",
-    "gap_ratios",
-    "mean_squared_error",
-    "predict",
-    "predict_detailed",
-    "rescale",
-    "rmse",
-    "select_rank_energy",
-    "select_rank_largest_gap",
-    "snr_report",
-    "spectral_norm",
-    "svd",
-    "truncate_rank",
-    "__version__",
-]
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,6 +5,13 @@ The CLI runs every command inside the pin, and the experiment runners run
 their trials inside it, so their outputs do not depend on the process's
 BLAS thread setting. Library calls outside them keep that setting.
 
+The pin acts on a library that is already loaded, whose worker pool has
+already started and spins idle until it times out. The CLI's process
+entry points (``python -m eivpcr.cli`` and the ``eivpcr`` script) call
+:func:`_start_single_threaded` before numpy is imported instead, so
+OpenBLAS starts on one thread and the pool never starts. This module
+imports no numpy itself, so they can import it first.
+
 The same lookup binds the library's LAPACK ``dgeqrf``, which
 :func:`eivpcr.core._qr_r` calls through ``ctypes``: a ``ctypes.CDLL``
 call releases the GIL, where ``numpy.linalg.qr`` holds it on small
@@ -17,8 +24,6 @@ import os
 import threading
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 
 class _OpenBlas(NamedTuple):
@@ -38,6 +43,8 @@ def _openblas():
     for the thread pin and ``dgeqrf`` together."""
     import ctypes
     import glob
+
+    import numpy as np
 
     libs = os.path.dirname(np.__file__) + ".libs"
     for pattern in ("libscipy_openblas*", "libopenblas*"):
@@ -70,6 +77,16 @@ def _bind_dgeqrf(lib):
             geqrf.restype = None
             return geqrf
     return None
+
+
+def _start_single_threaded():
+    """Have OpenBLAS start on one thread when numpy loads it.
+
+    Sets ``OPENBLAS_NUM_THREADS=1``, overriding the caller's value: every
+    command pins one thread anyway, so no output changes. It has no effect
+    once numpy is loaded, so a process calls it before importing numpy.
+    """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 # OpenBLAS's thread count is process-wide, so every caller shares one pin

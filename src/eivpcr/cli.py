@@ -10,8 +10,20 @@ array of row objects). Whenever numpy's bundled OpenBLAS is found, every
 command runs on one BLAS thread, so its outputs do not depend on the
 process's BLAS thread setting; ``blas_threads`` in the diagnostics line
 says which (``1``, or ``null`` when the library was not found).
+
+Run as a program (``python -m eivpcr.cli``, or the ``eivpcr`` script
+through :mod:`eivpcr._entry`), the process also sets
+``OPENBLAS_NUM_THREADS=1`` before numpy loads OpenBLAS, overriding the
+caller's value, so the library's idle worker pool never starts. Imported
+as a library, this module leaves the environment alone, and ``main()``
+pins and restores the caller's thread count.
 """
 from __future__ import annotations
+
+if __name__ == "__main__":  # before the first numpy import below
+    from ._blas import _start_single_threaded
+
+    _start_single_threaded()
 
 import argparse
 import json

@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from statistics import fmean, pstdev
 
 import numpy as np
 
@@ -69,6 +67,10 @@ class ExperimentReport:
 
 
 def _aggregate(records, group_cols, value_cols, extra=None):
+    # imported here, like _run_trials' pool: every CLI command loads this
+    # module, and statistics loads fractions and decimal
+    from statistics import fmean, pstdev
+
     groups: dict[tuple, list] = {}
     for rec in records:
         groups.setdefault(tuple(rec[c] for c in group_cols), []).append(rec)
@@ -88,6 +90,10 @@ def _aggregate(records, group_cols, value_cols, extra=None):
 
 
 def _run_trials(trial_fn, keys, threads):
+    # imported here: every CLI command loads this module, only `experiment`
+    # runs a pool, and concurrent.futures loads logging
+    from concurrent.futures import ThreadPoolExecutor
+
     # map() keeps key order, so results do not depend on the worker count;
     # one BLAS thread per trial keeps workers off each other's cores
     with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:

@@ -14,6 +14,12 @@ from eivpcr.simlab import experiments
 
 _SRC = str(Path(experiments.__file__).resolve().parents[2])
 
+# `python <launch> command ...`: as a program, OpenBLAS starts on one
+# thread; with numpy imported first, its pool starts on the environment's
+# count, and only the pin inside each command holds it to one
+_AS_PROGRAM = ("-m", "eivpcr.cli")
+_NUMPY_FIRST = ("-c", "import numpy, sys; from eivpcr.cli import main; sys.exit(main(sys.argv[1:]))")
+
 
 def run_cli(argv, capsys):
     code = main([str(a) for a in argv])
@@ -512,12 +518,15 @@ class TestExperiment:
         if _blas._openblas() is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
         digests = []
-        for blas, workers in (("1", "1"), ("2", "0"), ("1", "0"), ("2", "1")):
-            out = tmp_path / f"blas{blas}_workers{workers}"
+        for blas, workers, launch in (
+            ("1", "1", _AS_PROGRAM), ("2", "0", _AS_PROGRAM), ("1", "0", _AS_PROGRAM),
+            ("2", "1", _AS_PROGRAM), ("2", "0", _NUMPY_FIRST), ("2", "1", _NUMPY_FIRST),
+        ):
+            out = tmp_path / f"run{len(digests)}"
             env = {**os.environ, "PYTHONPATH": _SRC,
                    "OPENBLAS_NUM_THREADS": blas, "EIV_PCR_THREADS": workers}
             subprocess.run(
-                [sys.executable, "-m", "eivpcr.cli", "experiment", "--name", "identification",
+                [sys.executable, *launch, "experiment", "--name", "identification",
                  "--p", "64", "--p", "128", "--seeds", "1", "--out", str(out)],
                 env=env, check=True, capture_output=True, timeout=300,
             )
@@ -628,14 +637,78 @@ def _blas_sensitive_files(tmp_path):
     }
 
 
+class TestProcessStart:
+    """Run as a program, the CLI sets OPENBLAS_NUM_THREADS=1 before numpy
+    loads OpenBLAS; imported as a library, it leaves the environment alone."""
+
+    @staticmethod
+    def _python(code, *args):
+        """Stdout lines of ``python -c code args`` under two BLAS threads."""
+        env = {**os.environ, "PYTHONPATH": _SRC, "OPENBLAS_NUM_THREADS": "2"}
+        done = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            env=env, check=True, capture_output=True, text=True, timeout=60,
+        )
+        return done.stdout.splitlines()
+
+    def test_run_as_program_starts_openblas_on_one_thread(self, tmp_path):
+        if _blas._openblas() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        z = write_csv(tmp_path / "z.csv", np.eye(3))
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['eivpcr.cli', *sys.argv[1:]]\n"
+            "try:\n"
+            "    runpy.run_module('eivpcr.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "from eivpcr import _blas\n"
+            "print(_blas._openblas().get_threads())\n"
+        )
+        lines = self._python(code, "spectrum", "--z", z, "--out", tmp_path / "s.csv")
+        assert json.loads(lines[0])["command"] == "spectrum"
+        assert lines[-1] == "1"
+
+    def test_console_script_starts_openblas_on_one_thread(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        if _blas._openblas() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        pyproject = Path(_SRC).parent / "pyproject.toml"
+        module, func = tomllib.loads(pyproject.read_text())["project"]["scripts"]["eivpcr"].split(":")
+        z = write_csv(tmp_path / "z.csv", np.eye(3))
+        code = (
+            "import importlib, sys\n"
+            f"entry = getattr(importlib.import_module({module!r}), {func!r})\n"
+            "print('numpy' in sys.modules)\n"
+            "sys.argv = ['eivpcr', *sys.argv[1:]]\n"
+            "assert entry() == 0\n"
+            "from eivpcr import _blas\n"
+            "print(_blas._openblas().get_threads())\n"
+        )
+        lines = self._python(code, "spectrum", "--z", z, "--out", tmp_path / "s.csv")
+        assert lines[0] == "False"
+        assert json.loads(lines[1])["command"] == "spectrum"
+        assert lines[-1] == "1"
+
+    def test_library_import_leaves_the_environment_alone(self):
+        code = (
+            "import os\n"
+            "before = dict(os.environ)\n"
+            "import eivpcr.cli\n"
+            "print(dict(os.environ) == before)\n"
+        )
+        assert self._python(code) == ["True"]
+
+
 class TestBlasPin:
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         if _blas._openblas() is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
         f = _blas_sensitive_files(tmp_path)
         digests = {}
-        for blas in ("1", "2"):
-            out = tmp_path / f"blas{blas}"
+        for name, blas, launch in (("blas1", "1", _AS_PROGRAM), ("blas2", "2", _AS_PROGRAM),
+                                   ("numpy_first", "2", _NUMPY_FIRST)):
+            out = tmp_path / name
             out.mkdir()
             commands = {
                 "model.json": ["fit", "--z", f["z"], "--y", f["y"], "--k", "auto",
@@ -651,14 +724,15 @@ class TestBlasPin:
             env = {**os.environ, "PYTHONPATH": _SRC, "OPENBLAS_NUM_THREADS": blas}
             for argv in commands.values():
                 done = subprocess.run(
-                    [sys.executable, "-m", "eivpcr.cli", *map(str, argv)],
+                    [sys.executable, *launch, *map(str, argv)],
                     env=env, check=True, capture_output=True, text=True, timeout=300,
                 )
                 assert diag_of(done.stdout)["blas_threads"] == 1
-            digests[blas] = {
-                name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in commands
+            digests[name] = {
+                artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                for artifact in commands
             }
-        assert digests["1"] == digests["2"]
+        assert digests["blas1"] == digests["blas2"] == digests["numpy_first"]
 
     def test_artifacts_do_not_depend_on_the_qr_route(self, tmp_path, capsys, monkeypatch):
         # in process and pinned both times; only the small-side QR moves

@@ -2,10 +2,15 @@
 field of an exported dataclass, fails here, so every change to it shows up
 in this file's diff."""
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import eivpcr
+import eivpcr.pcr
 import eivpcr.simlab
 
 _EIVPCR = [
@@ -71,3 +76,32 @@ def test_dataclass_fields_are_pinned():
             if dataclasses.is_dataclass(obj):
                 found[name] = [f.name for f in dataclasses.fields(obj)]
     assert found == _FIELDS
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(eivpcr.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, eivpcr; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.stdout.split() == ["False"]
+
+
+def test_names_resolve_lazily_from_their_submodule(monkeypatch):
+    assert set(eivpcr.__all__) <= set(dir(eivpcr))
+    assert eivpcr.fit is eivpcr.pcr.fit
+    assert "fit" not in vars(eivpcr)  # looked up on each access, never copied
+
+    def patched(*args):
+        raise AssertionError
+
+    monkeypatch.setattr(eivpcr.pcr, "fit", patched)
+    assert eivpcr.fit is patched
+
+
+def test_unknown_names_fail():
+    with pytest.raises(AttributeError, match="nope"):
+        eivpcr.nope
+    with pytest.raises(ImportError):
+        from eivpcr import nope  # noqa: F401
