@@ -8,9 +8,10 @@ BLAS thread setting. Library calls outside them keep that setting.
 The pin acts on a library that is already loaded, whose worker pool has
 already started and spins idle until it times out. The CLI's process
 entry points (``python -m eivpcr.cli`` and the ``eivpcr`` script) call
-:func:`_start_single_threaded` before numpy is imported instead, so
-OpenBLAS starts on one thread and the pool never starts. This module
-imports no numpy itself, so they can import it first.
+:func:`_start_single_threaded` through :func:`eivpcr._entry._start_process`
+before numpy is imported instead, so OpenBLAS starts on one thread and the
+pool never starts. This module imports no numpy itself, so they can import
+it first.
 
 The same lookup binds the library's LAPACK ``dgeqrf``, which
 :func:`eivpcr.core._qr_r` calls through ``ctypes``: a ``ctypes.CDLL``

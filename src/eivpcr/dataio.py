@@ -79,9 +79,10 @@ def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     layout (``\n`` or ``\r\n`` line ends, ``,`` or ``, `` separators,
     ``NA``, ``nan`` or empty missing cells, a quoted header) is parsed by
     ``np.loadtxt`` (see :func:`_read_plain`); any other file, or any the
-    guards there do not admit, by a per-cell loop over ``csv`` rows. Both
-    give the same value bits, mask and labels, and every error (type,
-    message, row, column) comes from the ``csv`` loop.
+    guards there do not admit, by a per-cell loop over ``csv`` rows as they
+    are read, holding one row's fields at a time. Both give the same value
+    bits, mask and labels, and every error (type, message, row, column)
+    comes from the ``csv`` loop.
     """
     with open(spec.path, "rb") as f:
         data = f.read()
@@ -182,47 +183,74 @@ def _read_plain(data: bytes, has_header: bool):
 
 
 def _read_csv(spec: CsvMatrixSpec, data: bytes) -> MaskedMatrix:
-    """The ``csv`` route: rows from ``csv.reader``, then a loop over cells
-    that raises for the first ragged row or bad cell in file order."""
+    """The ``csv`` route: a loop over each row's cells as ``csv.reader``
+    yields it, into one float buffer, so no row outlives its parse.
+
+    The first ragged row or bad cell in file order is raised only once the
+    reader has drained the file, storing nothing more, so a reader error
+    (a ``csv.Error`` or an undecodable byte) anywhere in the file wins, as
+    it does when every row is read before any cell is parsed."""
+    # imported here: every CLI command loads this module, and only this
+    # route needs the float buffer
+    from array import array
+
+    labels, width, n_rows, error = None, None, 0, None
+    values = array("d")
     with io.TextIOWrapper(io.BytesIO(data), newline="") as f:
+        rows = csv.reader(f)
         try:
-            rows = list(csv.reader(f))
+            if spec.has_header:
+                header = next(rows, None)
+                if header is None:
+                    raise ParseError(f"{spec.path}: empty file, expected a header row")
+                labels = tuple(tok.strip() for tok in header)
+            for row in rows:
+                if error is not None:
+                    continue
+                n_rows += 1
+                if width is None:
+                    width = len(row)
+                    if labels is not None and len(labels) != width:
+                        error = Ragged(
+                            f"{spec.path}: header has {len(labels)} fields, "
+                            f"first data row has {width}"
+                        )
+                        continue
+                error = _parse_row(spec.path, row, n_rows, width, values)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{spec.path}: not valid {exc.encoding} text ({exc.reason})") from None
         except csv.Error as exc:
             raise ParseError(f"{spec.path}: {exc}") from None
-    labels = None
-    if spec.has_header:
-        if not rows:
-            raise ParseError(f"{spec.path}: empty file, expected a header row")
-        labels = tuple(tok.strip() for tok in rows.pop(0))
-    if not rows:
+    if error is not None:
+        raise error
+    if n_rows == 0:
         raise ParseError(f"{spec.path}: no data rows")
-    width = len(rows[0])
-    if labels is not None and len(labels) != width:
-        raise Ragged(f"{spec.path}: header has {len(labels)} fields, first data row has {width}")
-    values = []
-    for i, row in enumerate(rows, 1):
-        if len(row) != width:
-            raise Ragged(f"{spec.path}: row {i} has {len(row)} fields, expected {width}")
-        for j, tok in enumerate(map(str.strip, row), 1):
-            if tok in _NA_TOKENS:
-                values.append(math.nan)
-                continue
-            try:
-                x = float(tok)
-            except ValueError:
-                raise ParseError(
-                    f"{spec.path}: unreadable number {tok!r} at row {i}, column {j}", row=i, col=j
-                ) from None
-            if not math.isfinite(x):
-                raise ParseError(
-                    f"{spec.path}: non-finite value {tok!r} at row {i}, column {j}", row=i, col=j
-                )
-            values.append(x)
     # observed cells are finite, so NaN marks exactly the missing ones
-    values = np.array(values, dtype=float).reshape(len(rows), width)
+    values = np.frombuffer(values).reshape(n_rows, width)
     return MaskedMatrix(values=values, mask=~np.isnan(values), col_labels=labels)
+
+
+def _parse_row(path, row, i, width, values):
+    """Append data row ``i``'s cells to ``values`` (NaN for a missing
+    cell); the error for a ragged row or its first bad cell, else None."""
+    if len(row) != width:
+        return Ragged(f"{path}: row {i} has {len(row)} fields, expected {width}")
+    for j, tok in enumerate(map(str.strip, row), 1):
+        if tok in _NA_TOKENS:
+            values.append(math.nan)
+            continue
+        try:
+            x = float(tok)
+        except ValueError:
+            return ParseError(
+                f"{path}: unreadable number {tok!r} at row {i}, column {j}", row=i, col=j
+            )
+        if not math.isfinite(x):
+            return ParseError(
+                f"{path}: non-finite value {tok!r} at row {i}, column {j}", row=i, col=j
+            )
+        values.append(x)
+    return None
 
 
 def write_masked_csv(matrix: MaskedMatrix, path) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import MaskedMatrix, SvdFactors, _frozen, _small_side_svd, rescale, spectral_norm, svd
 from .errors import (
+    AllZero,
     BadParam,
     CorruptModel,
     DegenerateSpectrum,
@@ -180,6 +181,9 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
     DegenerateSpectrum
         If the k-th singular value is numerically zero relative to the
         largest; pseudo-inverting it would be meaningless, so fail loudly.
+    AllZero
+        If the rescaled design is all zero (its largest singular value is
+        0), at any k, as the rank rules raise for its spectrum.
     AllMissing
         If nothing is observed.
     """
@@ -194,6 +198,8 @@ def fit(z: MaskedMatrix, y, k: int) -> PcrModel:
     rescaled, rho_hat = rescale(z)
 
     def nondegenerate_k(s):
+        if s[0] == 0:
+            raise AllZero("design has no positive singular value")
         if s[k - 1] <= _RELATIVE_SPECTRUM_FLOOR * s[0]:
             raise DegenerateSpectrum(
                 f"singular value {k} is {s[k - 1]:.3e}, numerically zero "

@@ -107,6 +107,10 @@ def _resolve_threads(threads):
     if workers < 0:
         raise BadParam(f"threads={threads} must be >= 0")
     if workers == 0:
+        # the CPUs this process may run on, which taskset or a cpuset
+        # narrows; the machine's count where the platform has no mask
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return workers
 

@@ -450,6 +450,40 @@ class TestSpectrum:
         assert error_of(stderr)["error"] == "NoConverge"
 
 
+class TestAllZeroDesign:
+    """Every command that fits or ranks a 4x3 all-zero design reports the
+    same error; a prediction on one is +0.0 from zero retained triplets."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--out", "s.csv"],
+        ["fit", "--k", "auto", "--out", "m.json"],
+        ["fit", "--k", "1", "--out", "m.json"],
+        ["sc", "--target", "target", "--pre", "3", "--out", "t.csv"],
+        ["sc", "--target", "target", "--pre", "3", "--k", "1", "--out", "t.csv"],
+    ], ids=["spectrum", "fit-auto", "fit-1", "sc-auto", "sc-1"])
+    def test_every_command_exits_two_with_all_zero(self, tmp_path, capsys, argv):
+        z = write_csv(tmp_path / "z.csv", np.zeros((4, 3)))
+        y = write_csv(tmp_path / "y.csv", np.ones((4, 1)))
+        panel = write_csv(tmp_path / "panel.csv", np.zeros((4, 3)), ["target", "d1", "d2"])
+        inputs = {"spectrum": ["--z", z], "fit": ["--z", z, "--y", y], "sc": ["--panel", panel]}
+        argv = [*argv[:-1], tmp_path / argv[-1]]
+        code, stdout, stderr = run_cli([*argv, *inputs[argv[0]]], capsys)
+        assert code == 2 and stdout == ""
+        assert error_of(stderr)["error"] == "AllZero"
+
+    def test_predict_on_it_is_positive_zero(self, tmp_path, identity_files, capsys):
+        z, y = identity_files
+        model, pred = tmp_path / "m.json", tmp_path / "pred.csv"
+        assert run_cli(["fit", "--z", z, "--y", y, "--k", "2", "--out", model], capsys)[0] == 0
+        z_test = write_csv(tmp_path / "z_test.csv", np.zeros((4, 3)))
+        code, stdout, _ = run_cli(
+            ["predict", "--model", model, "--z-test", z_test, "--ell", "1", "--out", pred], capsys
+        )
+        assert code == 0 and diag_of(stdout)["ell_effective"] == 0
+        rows = [line.split(",") for line in pred.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["0.0"] * 4
+
+
 def _fixture_designs():
     """The designs the fit and spectrum tests above run on."""
     rng = np.random.default_rng(0)
@@ -639,7 +673,9 @@ def _blas_sensitive_files(tmp_path):
 
 class TestProcessStart:
     """Run as a program, the CLI sets OPENBLAS_NUM_THREADS=1 before numpy
-    loads OpenBLAS; imported as a library, it leaves the environment alone."""
+    loads OpenBLAS and freezes the heap its imports left for the garbage
+    collector; imported as a library, it leaves the environment and the
+    collector alone."""
 
     @staticmethod
     def _python(code, *args):
@@ -651,44 +687,65 @@ class TestProcessStart:
         )
         return done.stdout.splitlines()
 
-    def test_run_as_program_starts_openblas_on_one_thread(self, tmp_path):
-        if _blas._openblas() is None:
-            pytest.skip("numpy's bundled OpenBLAS not found")
-        z = write_csv(tmp_path / "z.csv", np.eye(3))
-        code = (
+    @staticmethod
+    def _as_main(then):
+        """Code running ``eivpcr.cli`` as ``__main__``, then ``then``."""
+        return (
             "import runpy, sys\n"
             "sys.argv = ['eivpcr.cli', *sys.argv[1:]]\n"
             "try:\n"
             "    runpy.run_module('eivpcr.cli', run_name='__main__')\n"
             "except SystemExit as exc:\n"
             "    assert not exc.code, exc.code\n"
-            "from eivpcr import _blas\n"
-            "print(_blas._openblas().get_threads())\n"
-        )
-        lines = self._python(code, "spectrum", "--z", z, "--out", tmp_path / "s.csv")
-        assert json.loads(lines[0])["command"] == "spectrum"
-        assert lines[-1] == "1"
+        ) + then
 
-    def test_console_script_starts_openblas_on_one_thread(self, tmp_path):
+    @staticmethod
+    def _as_console_script(then):
+        """Code running the entry ``pyproject.toml`` names for the
+        ``eivpcr`` script, printing first whether numpy was loaded before
+        it ran, then ``then``."""
         tomllib = pytest.importorskip("tomllib")
-        if _blas._openblas() is None:
-            pytest.skip("numpy's bundled OpenBLAS not found")
         pyproject = Path(_SRC).parent / "pyproject.toml"
         module, func = tomllib.loads(pyproject.read_text())["project"]["scripts"]["eivpcr"].split(":")
-        z = write_csv(tmp_path / "z.csv", np.eye(3))
-        code = (
+        return (
             "import importlib, sys\n"
             f"entry = getattr(importlib.import_module({module!r}), {func!r})\n"
             "print('numpy' in sys.modules)\n"
             "sys.argv = ['eivpcr', *sys.argv[1:]]\n"
             "assert entry() == 0\n"
-            "from eivpcr import _blas\n"
-            "print(_blas._openblas().get_threads())\n"
-        )
-        lines = self._python(code, "spectrum", "--z", z, "--out", tmp_path / "s.csv")
+        ) + then
+
+    _THREADS = "from eivpcr import _blas\nprint(_blas._openblas().get_threads())\n"
+    _COLLECTOR = "import gc\nprint(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+
+    def _spectrum(self, tmp_path, code):
+        z = write_csv(tmp_path / "z.csv", np.eye(3))
+        return self._python(code, "spectrum", "--z", z, "--out", tmp_path / "s.csv")
+
+    def test_run_as_program_starts_openblas_on_one_thread(self, tmp_path):
+        if _blas._openblas() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        lines = self._spectrum(tmp_path, self._as_main(self._THREADS))
+        assert json.loads(lines[0])["command"] == "spectrum"
+        assert lines[-1] == "1"
+
+    def test_console_script_starts_openblas_on_one_thread(self, tmp_path):
+        if _blas._openblas() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        lines = self._spectrum(tmp_path, self._as_console_script(self._THREADS))
         assert lines[0] == "False"
         assert json.loads(lines[1])["command"] == "spectrum"
         assert lines[-1] == "1"
+
+    def test_run_as_program_freezes_the_import_heap(self, tmp_path):
+        lines = self._spectrum(tmp_path, self._as_main(self._COLLECTOR))
+        assert json.loads(lines[0])["command"] == "spectrum"
+        assert lines[-1] == "True True"
+
+    def test_console_script_freezes_the_import_heap(self, tmp_path):
+        lines = self._spectrum(tmp_path, self._as_console_script(self._COLLECTOR))
+        assert json.loads(lines[1])["command"] == "spectrum"
+        assert lines[-1] == "True True"
 
     def test_library_import_leaves_the_environment_alone(self):
         code = (
@@ -698,6 +755,17 @@ class TestProcessStart:
             "print(dict(os.environ) == before)\n"
         )
         assert self._python(code) == ["True"]
+
+    def test_library_main_leaves_the_collector_alone(self, tmp_path):
+        code = (
+            "import gc, sys\n"
+            "from eivpcr.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+        )
+        lines = self._spectrum(tmp_path, code)
+        assert json.loads(lines[0])["command"] == "spectrum"
+        assert lines[-1] == "True 0"
 
 
 class TestBlasPin:

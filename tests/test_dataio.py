@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -325,6 +326,36 @@ class TestReadMaskedCsv:
         spec = _write(tmp_path / "m.csv", "".join(",".join(r) + "\n" for r in rows))
         with pytest.raises(Ragged, match="row 651 has 299 fields"):
             read_masked_csv(spec)
+
+    @pytest.mark.parametrize("early", ['"zap",2\n', '"1"\n'], ids=["bad-cell", "ragged-row"])
+    def test_reader_error_late_in_the_file_wins(self, tmp_path, early):
+        # the csv route streams its rows, so the reader must still drain the
+        # file past the first bad row before that row's error is raised
+        body = early + '"3",4\n' * 20_000
+        path = tmp_path / "m.csv"
+        path.write_bytes((body + "5,\xff\n").encode("latin-1"))
+        with pytest.raises(ParseError, match="not valid"):
+            read_masked_csv(CsvMatrixSpec(path=path))
+        spec = _write(path, body + "5," + "6" * (csv.field_size_limit() + 1) + "\n")
+        outcome = _outcome(read_masked_csv, spec)
+        assert outcome[0] is ParseError and "field larger than field limit" in outcome[1]
+        assert outcome == _outcome(_reference_read_masked_csv, spec)
+
+    def test_quoted_cells_peak_under_three_times_the_file(self, tmp_path):
+        # quoted cells take the csv route; a row's field strings are freed
+        # once parsed, so the peak is the file's bytes plus the float buffers
+        values = np.random.default_rng(3).standard_normal((300, 100))
+        text = "".join(",".join(f'"{v!r}"' for v in row) + "\n" for row in values.tolist())
+        spec = _write(tmp_path / "q.csv", text)
+        assert _route(spec) == "csv"
+        tracemalloc.start()
+        try:
+            m = read_masked_csv(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.values.tobytes() == values.tobytes()
+        assert peak < 3 * len(text)
 
     @settings(max_examples=300)
     @given(case=_csv_cases())

@@ -390,6 +390,25 @@ class TestRunnerPath:
         )
 
 
+    def test_zero_threads_sizes_the_pool_by_usable_cpus(self, monkeypatch):
+        # under taskset or a cpuset the affinity mask is narrower than the
+        # machine; without a mask the machine's count is all there is
+        pools = []
+        real_run = experiments._run_trials
+
+        def recorder(trial_fn, keys, threads):
+            pools.append(threads)
+            return real_run(trial_fn, keys, threads)
+
+        monkeypatch.setattr(experiments, "_run_trials", recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        run_experiment_identification([27], [0], threads=0)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        run_experiment_identification([27], [0], threads=0)
+        assert pools == [1, 8]
+
+
 class TestSingleThreadedBlas:
     def test_lookup_is_not_made_at_import(self):
         # one lazy lookup serves both the thread pin and core._qr_r's dgeqrf

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from eivpcr import core
 from eivpcr import (
     AllMissing,
+    AllZero,
     BadParam,
     CorruptModel,
     DegenerateSpectrum,
@@ -213,6 +214,13 @@ class TestFit:
         z = MaskedMatrix.from_dense(np.outer(rng.normal(size=6), rng.normal(size=4)))
         with pytest.raises(DegenerateSpectrum):
             fit(z, rng.normal(size=6), k=2)
+
+    @pytest.mark.parametrize("n, p", [(6, 4), (4, 6)], ids=["tall", "wide"])
+    def test_all_zero_design_is_all_zero_at_every_k(self, n, p):
+        z = MaskedMatrix.from_dense(np.zeros((n, p)))
+        for k in range(1, min(n, p) + 1):
+            with pytest.raises(AllZero, match="^design has no positive singular value$"):
+                fit(z, np.ones(n), k=k)
 
     def test_response_shape_and_finiteness(self):
         z = MaskedMatrix.from_dense(np.eye(3))
