@@ -6,12 +6,9 @@ their trials inside it, so their outputs do not depend on the process's
 BLAS thread setting. Library calls outside them keep that setting.
 
 The pin acts on a library that is already loaded, whose worker pool has
-already started and spins idle until it times out. The CLI's process
-entry points (``python -m eivpcr.cli`` and the ``eivpcr`` script) call
-:func:`_start_single_threaded` through :func:`eivpcr._entry._start_process`
-before numpy is imported instead, so OpenBLAS starts on one thread and the
-pool never starts. This module imports no numpy itself, so they can import
-it first.
+already started and spins idle until it times out. A CLI process has
+OpenBLAS start on one thread instead (see :mod:`eivpcr._entry`), so the
+pool never starts.
 
 The same lookup binds the library's LAPACK ``dgeqrf``, which
 :func:`eivpcr.core._qr_r` calls through ``ctypes``: a ``ctypes.CDLL``
@@ -78,16 +75,6 @@ def _bind_dgeqrf(lib):
             geqrf.restype = None
             return geqrf
     return None
-
-
-def _start_single_threaded():
-    """Have OpenBLAS start on one thread when numpy loads it.
-
-    Sets ``OPENBLAS_NUM_THREADS=1``, overriding the caller's value: every
-    command pins one thread anyway, so no output changes. It has no effect
-    once numpy is loaded, so a process calls it before importing numpy.
-    """
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 # OpenBLAS's thread count is process-wide, so every caller shares one pin

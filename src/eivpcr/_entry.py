@@ -1,45 +1,33 @@
-"""The ``eivpcr`` console script, and the start-up rule of both process
-entry points (this script and ``python -m eivpcr.cli``).
+"""The process entry point: the ``eivpcr`` console script, which
+``python -m eivpcr.cli`` runs too. Its start-up rule is written here only.
 
-A process that runs one command and exits gains little from the cyclic
-garbage collector walking the objects its imports leave behind, some 30K
-of them with numpy, which live until the process ends. So an entry
-point calls :func:`_start_process` before numpy is imported and
-:func:`_imports_done` once its imports have finished:
+Before numpy is imported, it sets ``OPENBLAS_NUM_THREADS=1``, overriding
+the caller's value. OpenBLAS then starts on one thread and its idle worker
+pool never starts; every command pins one thread anyway, so no output
+changes.
 
-- OpenBLAS starts on one thread (:func:`eivpcr._blas._start_single_threaded`),
-  so its idle worker pool never starts.
-- The collector is off while the imports run, which spares the young
-  collections they would trigger. Then every object alive is moved to the
-  permanent generation (``gc.freeze()``) and the collector is turned back
-  on: the command runs with it, but neither its collections nor the
-  full collections at interpreter shutdown walk the import-time heap.
-  This saves about 30-45 ms of CPU per command on a 2-vCPU x86-64 machine.
+It also keeps the cyclic garbage collector off while the imports run,
+which spares the young collections they would trigger. Then it moves every
+object alive, some 30K with numpy, to the permanent generation
+(``gc.freeze()``) and turns the collector back on. The command runs with
+the collector, but neither its collections nor the full collections at
+interpreter shutdown walk the import-time heap, which lives until the
+process ends. This saves about 30-45 ms of CPU per command on a 2-vCPU
+x86-64 machine.
 
-Nothing else calls them: importing :mod:`eivpcr.cli` as a library or
+Nothing else applies the rule: importing :mod:`eivpcr.cli` as a library or
 calling its ``main()`` in-process leaves the environment and the collector
 as the caller had them. This module imports no numpy.
 """
 import gc
-
-from ._blas import _start_single_threaded
-
-
-def _start_process():
-    """First step of a process entry point, before numpy is imported."""
-    _start_single_threaded()
-    gc.disable()
-
-
-def _imports_done():
-    """Step of a process entry point once its imports have finished."""
-    gc.freeze()
-    gc.enable()
+import os
 
 
 def main() -> int:
-    _start_process()
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    gc.disable()
     from .cli import main as cli_main
 
-    _imports_done()
+    gc.freeze()
+    gc.enable()
     return cli_main()

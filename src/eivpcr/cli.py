@@ -12,22 +12,17 @@ process's BLAS thread setting; ``blas_threads`` in the diagnostics line
 says which (``1``, or ``null`` when the library was not found).
 
 Run as a program (``python -m eivpcr.cli``, or the ``eivpcr`` script),
-the process goes through :mod:`eivpcr._entry`'s start-up rule. It sets
-``OPENBLAS_NUM_THREADS=1`` before numpy loads OpenBLAS, overriding the
-caller's value, so the library's idle worker pool never starts. It also
-turns the cyclic garbage collector off while the imports run, then
-freezes what they left (``gc.freeze()``) and turns it back on, so neither
-the command's collections nor interpreter shutdown walk the import-time
-heap: about 30-45 ms of CPU saved per command. Imported as a library, this
-module leaves the environment and the collector alone, and ``main()`` pins
-and restores the caller's thread count.
+the process starts through :func:`eivpcr._entry.main`; :mod:`eivpcr._entry`
+describes its start-up rule. Imported as a library, this module leaves the
+environment and the collector alone, and ``main()`` pins and restores the
+caller's thread count.
 """
 from __future__ import annotations
 
 if __name__ == "__main__":  # before the first numpy import below
-    from ._entry import _imports_done, _start_process
+    from ._entry import main
 
-    _start_process()
+    raise SystemExit(main())
 
 import argparse
 import json
@@ -52,7 +47,7 @@ from .dataio import (
 )
 from .errors import BadParam, DegenerateSpectrum, EivPcrError, NoConverge
 from .pcr import PredictionConfig, fit, predict_detailed
-from .rank_selection import gap_ratios, select_rank_largest_gap
+from .rank_selection import _auto_rank, gap_ratios
 from .simlab.experiments import (
     run_experiment_identification,
     run_experiment_shift,
@@ -298,10 +293,7 @@ def _auto_k(s, n: int, p: int) -> int:
     # search only the top half of the spectrum: the elbow of interest sits
     # among the leading values, while trailing near-zero pairs can fake
     # arbitrarily large ratios
-    if s.size < 2:
-        return 1
-    k_max = min(max(1, min(n, p) // 2), int(s.size) - 1)
-    return select_rank_largest_gap(s, k_max)
+    return _auto_rank(s, max(1, min(n, p) // 2))
 
 
 def _rank_arg(name: str, keyword: str):
@@ -363,8 +355,3 @@ def _emit(obj) -> None:
 
 def _emit_error(code: str, message) -> None:
     sys.stderr.write(json.dumps({"error": code, "message": str(message)}) + "\n")
-
-
-if __name__ == "__main__":
-    _imports_done()
-    sys.exit(main())

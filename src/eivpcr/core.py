@@ -13,11 +13,19 @@ import numpy as np
 from . import _blas
 from .errors import (
     AllMissing,
+    BadParam,
     BadShape,
     NoConverge,
     NonFinite,
     RankOutOfRange,
 )
+
+
+def _rank(value, name: str) -> int:
+    """``value`` as an int; BadParam unless a Python or numpy integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParam(f"{name}={value!r} must be an integer")
+    return int(value)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -288,9 +296,9 @@ def truncate_rank(f: SvdFactors, k: int) -> np.ndarray:
     are kept as they appear in ``f``.
     """
     q = f.singular_values.shape[0]
-    if not 1 <= int(k) <= q:
+    k = _rank(k, "k")
+    if not 1 <= k <= q:
         raise RankOutOfRange(f"k={k} outside [1, {q}]")
-    k = int(k)
     return (f.left_vectors[:, :k] * f.singular_values[:k]) @ f.right_vectors[:, :k].T
 
 

@@ -35,9 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MaskedMatrix
+from .core import MaskedMatrix, _rank
 from .errors import BadParam, CorruptModel, ParseError, Ragged, SchemaMismatch, UnknownUnit
-from .pcr import PcrModel, _rank
+from .pcr import PcrModel
 from .synthetic_control import PanelDataset
 
 # the schema of a model without column labels; a model fitted on a

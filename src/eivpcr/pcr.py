@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MaskedMatrix, SvdFactors, _frozen, _small_side_svd, rescale, spectral_norm, svd
+from .core import (
+    MaskedMatrix, SvdFactors, _frozen, _rank, _small_side_svd, rescale, spectral_norm, svd,
+)
 from .errors import (
     AllZero,
     BadParam,
@@ -35,13 +37,6 @@ _ROWSPAN_TOL = 1e-8
 # train singular values at or below this fraction of the largest do not
 # count toward the rowspace that check_subspace_inclusion projects onto
 _NUMERICAL_RANK_CUT = 1e-8
-
-
-def _rank(value, name: str) -> int:
-    """``value`` as an int; BadParam unless a Python or numpy integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise BadParam(f"{name}={value!r} must be an integer")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -68,9 +63,10 @@ class PcrModel:
     """A fitted estimator.
 
     ``beta_hat`` lies in the span of ``right_vectors`` (p x k, read-only),
-    the top-k right singular vectors of the rescaled train design, and the
-    retained ``singular_values`` are strictly positive. ``right_vectors`` is
-    None on models loaded from disk (the vectors are not serialized).
+    the top-k right singular vectors of the rescaled train design, so k is
+    at most p, and the retained ``singular_values`` are strictly positive.
+    ``right_vectors`` is None on models loaded from disk (the vectors are
+    not serialized).
     ``col_labels`` names the train design's columns, one per coefficient,
     when that design had labels; :func:`predict_detailed` then matches test
     columns to coefficients by name. Invariant violations raise
@@ -92,6 +88,8 @@ class PcrModel:
             raise CorruptModel("beta_hat must be finite")
         if int(self.k) < 1:
             raise CorruptModel(f"k={self.k} must be >= 1")
+        if int(self.k) > beta.size:
+            raise CorruptModel(f"k={self.k} exceeds the {beta.size} coefficients")
         if s.size != int(self.k):
             raise CorruptModel(f"{s.size} retained singular values for k={self.k}")
         if not np.all(np.isfinite(s)) or np.any(s <= 0) or np.any(np.diff(s) > 0):

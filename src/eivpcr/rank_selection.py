@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _rank
 from .errors import AllZero, BadParam, EmptySpectrum
 
 # relative regularizer keeping the gap ratio defined at an exact-rank boundary
@@ -35,10 +36,19 @@ def select_rank_largest_gap(s, k_max: int) -> int:
     s = _as_spectrum(s)
     if s.size < 2:
         raise EmptySpectrum("need at least two singular values")
-    if not 1 <= int(k_max) <= s.size - 1:
+    k_max = _rank(k_max, "k_max")
+    if not 1 <= k_max <= s.size - 1:
         raise BadParam(f"k_max={k_max} outside [1, {s.size - 1}]")
-    ratios = gap_ratios(s)[: int(k_max)]
+    ratios = gap_ratios(s)[:k_max]
     return int(np.argmax(ratios)) + 1
+
+
+def _auto_rank(s, k_max: int) -> int:
+    """The "auto" rank of every entry point: the largest gap searched over
+    [1, min(k_max, len(s) - 1)], or 1, the only admissible rank, when that
+    range is empty."""
+    k_max = min(k_max, len(s) - 1)
+    return select_rank_largest_gap(s, k_max) if k_max >= 1 else 1
 
 
 # public though no entry point calls it: the benchmark's tracer

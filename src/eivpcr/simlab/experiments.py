@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._blas import _single_threaded_blas
-from ..core import _singular_values, _svd_of_product
+from ..core import _rank, _singular_values, _svd_of_product
 from ..errors import BadParam
 from ..pcr import PredictionConfig, _inclusion_leakage, fit, predict
 from .generators import (
@@ -103,7 +103,7 @@ def _run_trials(trial_fn, keys, threads):
 def _resolve_threads(threads):
     if threads is None:
         return 1
-    workers = int(threads)
+    workers = _rank(threads, "threads")
     if workers < 0:
         raise BadParam(f"threads={threads} must be >= 0")
     if workers == 0:
@@ -192,7 +192,7 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
     The rank is r = round(p^(1/3)) and the n grid places
     n / (r^2 ln p) at eight log-spaced points in [1, 40].
     """
-    ps = [int(p) for p in ps]
+    ps = [_rank(p, "p") for p in ps]
     if not ps or any(p < 8 for p in ps):
         raise BadParam("ps must be a nonempty list of dimensions >= 8")
     _check_distinct("dimension", ps)
@@ -242,7 +242,7 @@ def make_shift_trial(size: int, sigma2: float, seed) -> dict:
     four test designs share the train matrix, its factors, and the
     test-side noise draw; only the test factor distribution changes.
     """
-    n = int(size)
+    n = _rank(size, "size")
     trial = child(seed, _sigma_key(sigma2), size)
     u, v, u_tests = gen_factor_uv(n, n, n, trial)
     x_tests = [u_test @ v.T for u_test in u_tests.values()]
@@ -288,7 +288,7 @@ def make_subspace_trial(size: int, sigma2: float, seed):
     U and V (see :class:`TrialData`). Both test designs share the train
     matrix, its factors and the test-side noise draw.
     """
-    n = int(size)
+    n = _rank(size, "size")
     trial = child(seed, _sigma_key(sigma2), size)
     u, v, u_ok, v_bad = gen_rowspan_violation(n, n, n, trial)
     return tuple(_trial(u, v, (u_ok @ v.T, u @ v_bad.T), sigma2, trial))
@@ -347,7 +347,7 @@ def _noise_record(kind, size, r, sigma2, seed, train_factors) -> dict:
 def _noise_sweep(noise_grid, seeds, size):
     """Validated size and the (noise variance, seed) keys of a shift or
     subspace sweep."""
-    size = int(size)
+    size = _rank(size, "size")
     if size < 50:
         raise BadParam(f"size={size} must be >= 50")
     # + 0.0 turns -0.0 into 0.0: both draw the streams of key 0, so they
@@ -367,7 +367,7 @@ def _noise_sweep(noise_grid, seeds, size):
 
 
 def _check_seeds(seeds):
-    seeds = [int(s) for s in seeds]
+    seeds = [_rank(s, "seed") for s in seeds]
     if not seeds:
         raise BadParam("seeds must be nonempty")
     if min(seeds) < 0:

@@ -14,9 +14,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from ..core import MaskedMatrix, SvdFactors
+from ..core import MaskedMatrix, SvdFactors, _rank
 from ..errors import BadParam, BadShape
-from ..pcr import _rank
 from ..synthetic_control import PanelDataset
 from .streams import Role, child, substream
 

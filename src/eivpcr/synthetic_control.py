@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MaskedMatrix, _singular_values, rescale
+from .core import MaskedMatrix, _rank, _singular_values, rescale
 from .errors import BadParam, BadShape, TargetMissingPre
-from .pcr import PredictionConfig, _rank, check_subspace_inclusion, fit, predict_detailed
-from .rank_selection import select_rank_largest_gap
+from .pcr import PredictionConfig, check_subspace_inclusion, fit, predict_detailed
+from .rank_selection import _auto_rank
 from .metrics import mean_squared_error, snr_report
 
 
@@ -139,11 +139,7 @@ def fit_rsc(panel: PanelDataset, k="auto") -> CounterfactualResult:
     if isinstance(k, str):
         if k != "auto":
             raise BadParam(f"k must be an integer or 'auto', got {k!r}")
-        k_max = min(panel.n, panel.p) - 1
-        if k_max >= 1:
-            k = select_rank_largest_gap(_singular_values(rescale(z_pre)[0]), k_max=k_max)
-        else:
-            k = 1  # one donor or one pre period: the only admissible rank
+        k = _auto_rank(_singular_values(rescale(z_pre)[0]), min(panel.n, panel.p) - 1)
     model = fit(z_pre, y, k)
     pred = predict_detailed(model, z_post, PredictionConfig(ell=min(model.k, panel.m)))
 

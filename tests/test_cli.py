@@ -185,6 +185,22 @@ class TestPredict:
         np.testing.assert_allclose([float(g[1]) for g in got], [1.0, 2.0, 3.0], rtol=1e-10)
         assert [g[2] for g in got] == ["0", "0", "0"]
 
+    def test_model_with_k_above_its_coefficients_is_corrupt(self, tmp_path, capsys):
+        # k = 5 with three coefficients: rejected on load, whatever --ell is
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "schema_version": 1, "k": 5, "rho_hat": 1.0, "beta_hat": [1.0, 2.0, 3.0],
+            "singular_values": [5.0, 4.0, 3.0, 2.0, 1.0],
+        }))
+        z = write_csv(tmp_path / "z.csv", np.eye(3))
+        for ell in ("1", "same"):
+            code, stdout, stderr = run_cli(
+                ["predict", "--model", model, "--z-test", z, "--ell", ell,
+                 "--out", tmp_path / "pred.csv"], capsys
+            )
+            assert code == 2 and stdout == ""
+            assert error_of(stderr)["error"] == "CorruptModel"
+
     def test_bound_clamps_and_flags(self, tmp_path, identity_files, capsys):
         model, z = self._fit_identity(tmp_path, identity_files, capsys)
         out = tmp_path / "pred.json"
@@ -508,6 +524,29 @@ def test_auto_rank_unchanged_by_values_only_spectrum(tmp_path, capsys, name):
     assert code == 0 and diag_of(stdout)["suggested_k"] == want
 
 
+def test_auto_rank_caps_of_fit_and_sc(tmp_path, capsys):
+    # on the spectrum 10, 9, 8, 7, 1, 0.9, fit searches the top half, [1, 3],
+    # and picks 3; sc searches the whole spectrum, [1, 5], and picks 4
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((8, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    x = (u * [10.0, 9.0, 8.0, 7.0, 1.0, 0.9]) @ v.T
+    z = write_csv(tmp_path / "z.csv", x)
+    y = write_csv(tmp_path / "y.csv", np.ones((8, 1)))
+    code, stdout, _ = run_cli(
+        ["fit", "--z", z, "--y", y, "--k", "auto", "--out", tmp_path / "m.json"], capsys
+    )
+    assert code == 0 and diag_of(stdout)["k"] == 3
+    # x is the donors' pre block, under a target column and above two post periods
+    table = np.column_stack([np.ones(10), np.vstack([x, rng.standard_normal((2, 6))])])
+    panel = write_csv(tmp_path / "panel.csv", table)
+    code, stdout, _ = run_cli(
+        ["sc", "--panel", panel, "--target", "0", "--pre", "8", "--no-header",
+         "--out", tmp_path / "t.csv"], capsys
+    )
+    assert code == 0 and diag_of(stdout)["k"] == 4
+
+
 class TestExperiment:
     def _run(self, tmp_path, capsys, name, out, extra=()):
         argv = ["experiment", "--name", name, "--seeds", "2", "--out", out, *extra]
@@ -679,10 +718,14 @@ class TestProcessStart:
 
     @staticmethod
     def _python(code, *args):
-        """Stdout lines of ``python -c code args`` under two BLAS threads."""
+        """Stdout lines of ``python -c code args`` under two BLAS threads.
+
+        RuntimeWarnings are errors: runpy gives one when the module it is
+        asked to run as ``__main__`` was imported before it ran.
+        """
         env = {**os.environ, "PYTHONPATH": _SRC, "OPENBLAS_NUM_THREADS": "2"}
         done = subprocess.run(
-            [sys.executable, "-c", code, *map(str, args)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *map(str, args)],
             env=env, check=True, capture_output=True, text=True, timeout=60,
         )
         return done.stdout.splitlines()
@@ -721,6 +764,10 @@ class TestProcessStart:
     def _spectrum(self, tmp_path, code):
         z = write_csv(tmp_path / "z.csv", np.eye(3))
         return self._python(code, "spectrum", "--z", z, "--out", tmp_path / "s.csv")
+
+    def test_run_as_program_runs_the_script_entry(self):
+        record = "import eivpcr._entry\neivpcr._entry.main = lambda: print('entry') or 0\n"
+        assert self._python(record + self._as_main("")) == ["entry"]
 
     def test_run_as_program_starts_openblas_on_one_thread(self, tmp_path):
         if _blas._openblas() is None:

@@ -1,4 +1,5 @@
 import ctypes
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from eivpcr import (
     AllMissing,
+    BadParam,
     BadShape,
     MaskedMatrix,
     NoConverge,
@@ -15,6 +17,7 @@ from eivpcr import (
     SvdFactors,
     estimate_rho,
     rescale,
+    select_rank_largest_gap,
     spectral_norm,
     svd,
     truncate_rank,
@@ -26,6 +29,9 @@ from eivpcr.core import (
     _singular_values,
     _small_side_svd,
     _svd_of_product,
+)
+from eivpcr.simlab import (
+    make_shift_trial, make_subspace_trial, run_experiment_identification, run_experiment_shift,
 )
 
 # Philox(12345) uniforms < 0.8 on 1000x1000; counted once with
@@ -518,3 +524,23 @@ class TestQrR:
         assert found.dgeqrf._flags_ & ctypes._FUNCFLAG_CDECL
         assert not found.dgeqrf._flags_ & ctypes._FUNCFLAG_PYTHONAPI
         assert all(t is ctypes.POINTER(ctypes.c_int64) for t in found.dgeqrf.argtypes[:2])
+
+
+_INTEGER_SITES = {
+    "truncate_rank k": lambda v: truncate_rank(svd(np.eye(3)), v),
+    "select_rank_largest_gap k_max": lambda v: select_rank_largest_gap([3.0, 2.0, 1.0], v),
+    "runner ps": lambda v: run_experiment_identification([v], [0]),
+    "runner size": lambda v: run_experiment_shift([0.1], [0], v),
+    "runner seeds": lambda v: run_experiment_shift([0.1], [v], 50),
+    "runner threads": lambda v: run_experiment_shift([0.1], [0], 50, threads=v),
+    "shift trial size": lambda v: make_shift_trial(v, 0.1, 0),
+    "subspace trial size": lambda v: make_subspace_trial(v, 0.1, 0),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("site", sorted(_INTEGER_SITES))
+def test_rank_and_grid_values_must_be_integers(site, value):
+    # rejected, not truncated to int(value)
+    with pytest.raises(BadParam, match=re.escape(f"={value!r} must be an integer")):
+        _INTEGER_SITES[site](value)

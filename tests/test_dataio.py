@@ -745,6 +745,13 @@ class TestModelFiles:
         with pytest.raises(CorruptModel):
             read_model(self._tamper(tmp_path, lambda d: d.__setitem__("rho_hat", 1.5)))
 
+    def test_rank_above_coefficient_count(self, tmp_path):
+        def mutate(d):
+            d.update(k=5, beta_hat=d["beta_hat"][:3], singular_values=[5.0, 4.0, 3.0, 2.0, 1.0])
+
+        with pytest.raises(CorruptModel, match="k=5 exceeds the 3 coefficients"):
+            read_model(self._tamper(tmp_path, mutate))
+
     def test_reread_model_predicts(self, tmp_path):
         # right vectors are not stored, but the loaded model must still predict
         from eivpcr import PredictionConfig, predict
