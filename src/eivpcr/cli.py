@@ -49,6 +49,7 @@ from .errors import BadParam, DegenerateSpectrum, EivPcrError, NoConverge
 from .pcr import PredictionConfig, fit, predict_detailed
 from .rank_selection import _auto_rank, gap_ratios
 from .simlab.experiments import (
+    _resolve_threads,
     run_experiment_identification,
     run_experiment_shift,
     run_experiment_subspace,
@@ -59,13 +60,14 @@ _EXIT_INPUT = 2
 _EXIT_NUMERICAL = 3
 _NUMERICAL_ERRORS = (DegenerateSpectrum, NoConverge)
 
-DEFAULT_IDENTIFICATION_PS = (64, 128, 216)
-DEFAULT_IDENTIFICATION_SEEDS = 20
-DEFAULT_SHIFT_NOISE = tuple(round(0.1 * i, 1) for i in range(1, 11))
-DEFAULT_SHIFT_SEEDS = 10
-DEFAULT_SUBSPACE_NOISE = (0.2,)
-DEFAULT_SUBSPACE_SEEDS = 10
 DEFAULT_TRIAL_SIZE = 300
+
+# experiment name -> (runner, grid flag, default grid, default seed count)
+_EXPERIMENTS = {
+    "identification": (run_experiment_identification, "p", (64, 128, 216), 20),
+    "shift": (run_experiment_shift, "noise", tuple(round(0.1 * i, 1) for i in range(1, 11)), 10),
+    "subspace": (run_experiment_subspace, "noise", (0.2,), 10),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("experiment", help="run a simulation study and write its report")
-    p.add_argument("--name", required=True,
-                   choices=("identification", "shift", "subspace"))
+    p.add_argument("--name", required=True, choices=tuple(_EXPERIMENTS))
     p.add_argument("--size", type=int, default=None,
                    help="n = m = p for shift/subspace trials (default 300)")
     p.add_argument("--seeds", type=int, default=None,
@@ -252,26 +253,20 @@ def cmd_experiment(args) -> int:
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise BadParam(f"--out {out} exists and is not a directory")
+    run, grid_flag, default_grid, default_seeds = _EXPERIMENTS[args.name]
     if args.name == "identification":
         if args.size is not None:
             raise BadParam("identification sweeps its own sample sizes; --size is not applicable")
         if args.noise:
             raise BadParam("identification pins its noise level; --noise is not applicable")
-        ps = args.p or list(DEFAULT_IDENTIFICATION_PS)
-        seeds = _seed_range(args.seed, args.seeds, DEFAULT_IDENTIFICATION_SEEDS)
-        report = run_experiment_identification(ps, seeds, threads=threads)
+        size = ()
     else:
         if args.p:
             raise BadParam("--p applies to the identification experiment only")
-        size = args.size if args.size is not None else DEFAULT_TRIAL_SIZE
-        if args.name == "shift":
-            noise = args.noise or list(DEFAULT_SHIFT_NOISE)
-            seeds = _seed_range(args.seed, args.seeds, DEFAULT_SHIFT_SEEDS)
-            report = run_experiment_shift(noise, seeds, size, threads=threads)
-        else:
-            noise = args.noise or list(DEFAULT_SUBSPACE_NOISE)
-            seeds = _seed_range(args.seed, args.seeds, DEFAULT_SUBSPACE_SEEDS)
-            report = run_experiment_subspace(noise, seeds, size, threads=threads)
+        size = (args.size if args.size is not None else DEFAULT_TRIAL_SIZE,)
+    grid = getattr(args, grid_flag) or list(default_grid)
+    seeds = _seed_range(args.seed, args.seeds, default_seeds)
+    report = run(grid, seeds, *size, threads=threads)
     # created only once the report exists, so a rejected run leaves nothing
     out.mkdir(parents=True, exist_ok=True)
     write_records_csv(report.records, out / "trials.csv")
@@ -338,7 +333,7 @@ def _threads_from_env():
         raise BadParam(f"EIV_PCR_THREADS={raw!r} is not an integer") from None
     if value < 0:
         raise BadParam("EIV_PCR_THREADS must be >= 0")
-    return value  # 0 = one worker per CPU, resolved by the runners
+    return _resolve_threads(value)  # 0 = one worker per CPU
 
 
 def _write_table(rows, path, fmt: str) -> None:

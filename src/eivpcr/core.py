@@ -34,7 +34,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskedMatrix:
     """A real matrix with an explicit observed/missing mask.
 
@@ -125,7 +125,7 @@ def rescale(m: MaskedMatrix) -> tuple[np.ndarray, float]:
     return rescaled, rho_hat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Singular values and vectors under a fixed sign convention.
 

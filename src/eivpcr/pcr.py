@@ -58,7 +58,7 @@ class PredictionConfig:
             object.__setattr__(self, "bound", bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcrModel:
     """A fitted estimator.
 
@@ -122,7 +122,7 @@ class PcrModel:
         return int(self.beta_hat.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prediction:
     """Detailed prediction output.
 

@@ -38,7 +38,7 @@ class Shift(IntEnum):
     U2 = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialData:
     """One assembled trial: latent matrices, model, responses, observations.
 
@@ -130,7 +130,7 @@ def gen_rowspan_violation(n: int, m: int, p: int, seed, r: int = DEFAULT_FACTOR_
     return u, v, u_ok, v_bad
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelTrial:
     """A generated panel with the latent ground truth needed for scoring."""
 

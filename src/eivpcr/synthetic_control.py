@@ -86,7 +86,7 @@ class PanelDataset:
         return np.array(self.outcomes.values[: self.n, self.target_col])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CounterfactualResult:
     """Donor weights, estimated untreated trajectory, and diagnostics.
 

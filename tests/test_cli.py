@@ -579,6 +579,17 @@ class TestExperiment:
             tmp_path / "par" / "trials.csv"
         ).read_bytes()
 
+    def test_zero_threads_reports_the_workers_that_ran(self, tmp_path, capsys, monkeypatch):
+        # 0 is one worker per CPU this process may run on
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count()
+        monkeypatch.setenv("EIV_PCR_THREADS", "0")
+        code, out, _ = self._run(tmp_path, capsys, "subspace", tmp_path / "x")
+        assert code == 0
+        assert diag_of(out)["threads"] == cpus
+
     def test_diagnostics_report_unpinned_blas(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(_blas, "_openblas", lambda: None)
         code, out, _ = self._run(tmp_path, capsys, "subspace", tmp_path / "x")
