@@ -54,7 +54,7 @@ _NA_TOKENS = frozenset(("NA", "nan", ""))  # stripped fields read as missing
 _PLAIN_BYTES = b"0123456789.eE+-,\nNA"
 _REWRITTEN_BYTES = frozenset(b"\r na")
 _CSV_SPECIAL = frozenset(b"\r\0")
-_COMMA, _NEWLINE, _N, _A = b",\nNA"
+_COMMA, _NEWLINE, _N, _A, _ZERO = b",\nNA0"
 # NA cells read as 0 through np.loadtxt; the mask then marks them missing
 _NA_AS_ZEROS = bytes.maketrans(b"NA", b"00")
 
@@ -106,15 +106,16 @@ def _read_plain(data: bytes, has_header: bool):
     Data bytes outside ``_PLAIN_BYTES`` must be ``\r``, space, ``n`` or
     ``a``, and are then rewritten: ``\r\n`` to ``\n``, ``, `` to ``,`` and
     ``nan`` to ``NA``, as ``csv`` reads a line end, strips a leading space
-    and reads a missing cell. An empty field gets an ``NA`` written in,
-    unless its line is wholly empty (``csv`` reads a row with no fields).
-    Then the guards: every byte is in ``_PLAIN_BYTES``, every field is
-    non-empty and within ``csv``'s field size limit less the two bytes a
-    rewrite strips at most (`` nan`` to ``NA``), and every ``N`` and ``A``
-    belongs to an ``NA`` that is a whole field. So rows end only at
-    ``\n``, no field holds quotes or whitespace, and every other field
-    holds only ``0-9 . e E + -``, which ``loadtxt`` parses as ``float()``
-    does: both call CPython's correctly rounded ``PyOS_string_to_double``.
+    and reads a missing cell. Then the guards, from one scan of the field
+    boundaries: every byte is in ``_PLAIN_BYTES``, every field is within
+    ``csv``'s field size limit less the two bytes a rewrite strips at most
+    (`` nan`` to ``NA``), every ``N`` and ``A`` belongs to an ``NA`` field,
+    and no line is wholly empty (``csv`` reads a row with no fields).
+    ``loadtxt`` reads ``NA`` as ``00`` and an empty field as a ``0`` written
+    in; the mask marks both. So rows end only at ``\n``, no field holds
+    quotes or whitespace, and every other field holds only ``0-9 . e E + -``,
+    which ``loadtxt`` parses as ``float()`` does: both call CPython's
+    correctly rounded ``PyOS_string_to_double``.
     A ragged row or a malformed number (``1e``, ``.``, ``--1``) makes
     ``loadtxt`` raise, and an overflow (``1e400``) reads as an infinity;
     either leaves the file to the ``csv`` loop, which names the culprit.
@@ -141,23 +142,15 @@ def _read_plain(data: bytes, has_header: bool):
     if not body:
         return None
     a = np.frombuffer(body, dtype=np.uint8)
-    while True:  # twice at most: again after filling empty fields
-        # field i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1
-        bounds = np.flatnonzero((a == _COMMA) | (a == _NEWLINE))
-        bounds = np.concatenate(([-1], bounds, [a.size]))
-        widths = np.diff(bounds) - 1
-        starts = bounds[:-1] + 1
-        empty = widths == 0
-        if not empty.any():
-            break
-        line_end = np.concatenate(([True], a[bounds[1:-1]] == _NEWLINE, [True]))
-        if (empty & line_end[:-1] & line_end[1:]).any():
-            return None
-        a = np.insert(a, np.repeat(starts[empty], 2), np.tile([_N, _A], np.count_nonzero(empty)))
-        body = a.tobytes()
+    # field i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1
+    bounds = np.flatnonzero((a == _COMMA) | (a == _NEWLINE))
+    bounds = np.concatenate(([-1], bounds, [a.size]))
+    widths = np.diff(bounds) - 1
+    starts = bounds[:-1] + 1
     if widths.max() > csv.field_size_limit() - 2:
         return None
-    na = a[starts] == _N
+    # an empty field starts on a delimiter or past the end ("clip": the last)
+    na = a.take(starts, mode="clip") == _N
     n_na = np.count_nonzero(na)
     # every N starts a two-byte field that ends in A, and there is no other A
     if (
@@ -167,6 +160,12 @@ def _read_plain(data: bytes, has_header: bool):
         or (a[starts[na] + 1] != _A).any()
     ):
         return None
+    empty = widths == 0
+    if empty.any():
+        line_end = np.concatenate(([True], a[bounds[1:-1]] == _NEWLINE, [True]))
+        if (empty & line_end[:-1] & line_end[1:]).any():
+            return None
+        body = np.insert(a, starts[empty], _ZERO).tobytes()
     try:
         values = np.loadtxt(
             io.BytesIO(body.translate(_NA_AS_ZEROS)),
@@ -179,7 +178,7 @@ def _read_plain(data: bytes, has_header: bool):
         return None
     if not np.isfinite(values).all() or (labels is not None and len(labels) != values.shape[1]):
         return None
-    return labels, values, ~na.reshape(values.shape)
+    return labels, values, ~(na | empty).reshape(values.shape)
 
 
 def _read_csv(spec: CsvMatrixSpec, data: bytes) -> MaskedMatrix:
@@ -431,6 +430,4 @@ def _cell(v):
         return int(v)
     if isinstance(v, float):  # np.float64 subclasses float; normalize its repr
         return repr(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
     return v

@@ -58,12 +58,15 @@ class ExperimentReport:
     """Per-trial records plus mean/std aggregates over seeds.
 
     Records are plain dicts sharing a column set per experiment; they are
-    sorted by configuration and seed, so identical runs compare equal.
+    sorted by configuration and seed, so identical runs compare equal. A
+    report is unhashable, as the dicts it holds are.
     """
 
     name: str
     records: tuple
     aggregates: tuple
+
+    __hash__ = None
 
 
 def _aggregate(records, group_cols, value_cols, extra=None):

@@ -198,10 +198,7 @@ def corrupt(x, sigma: float, rho: float, seed) -> MaskedMatrix:
     values = x
     if sigma > 0:
         values = x + sigma * substream(seed, Role.NOISE).standard_normal(x.shape)
-    if rho < 1.0:
-        mask = substream(seed, Role.MASK).random(x.shape) < rho
-    else:
-        mask = np.ones(x.shape, dtype=bool)
+    mask = substream(seed, Role.MASK).random(x.shape) < rho if rho < 1.0 else None
     return MaskedMatrix.from_dense(values, mask=mask)
 
 

@@ -621,10 +621,15 @@ class TestExperiment:
         assert all(d == digests[0] for d in digests)
 
     def test_bad_thread_env_exits_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EIV_PCR_THREADS", "many")
-        code, _, stderr = self._run(tmp_path, capsys, "subspace", tmp_path / "x")
-        assert code == 2
-        assert error_of(stderr)["error"] == "BadParam"
+        for raw, message in [
+            ("many", "EIV_PCR_THREADS='many' is not an integer"),
+            ("-1", "EIV_PCR_THREADS must be >= 0"),
+        ]:
+            monkeypatch.setenv("EIV_PCR_THREADS", raw)
+            code, _, stderr = self._run(tmp_path, capsys, "subspace", tmp_path / "x")
+            assert code == 2
+            assert error_of(stderr) == {"error": "BadParam", "message": message}
+            assert not (tmp_path / "x").exists()
 
     def test_identification_rejects_size(self, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -646,6 +651,10 @@ class TestExperiment:
          "--seed -1 must be >= 0"),
         (["--name", "shift", "--noise", "10", "--noise", "10.000001", "--size", "50", "--seeds", "1"],
          "noise variance 10.000001 repeats 10.0"),
+        (["--name", "identification", "--noise", "0.1"],
+         "identification pins its noise level; --noise is not applicable"),
+        (["--name", "shift", "--p", "27"], "--p applies to the identification experiment only"),
+        (["--name", "subspace", "--seeds", "0"], "--seeds 0 must be >= 1"),
     ])
     def test_rejected_run_exits_two_and_creates_no_out_dir(self, tmp_path, capsys, argv, message):
         out = tmp_path / "d"

@@ -259,6 +259,19 @@ class TestSvd:
         with pytest.raises(BadShape):
             svd(np.ones(4))
 
+    @pytest.mark.parametrize("s, u, v, message", [
+        ([1.0], np.ones(2), np.ones((2, 1)), "factors must be (q,), (rows, q), (cols, q)"),
+        ([1.0, 0.5], np.ones((3, 2)), np.ones((2, 1)),
+         "factor column counts must match len(singular_values)"),
+        ([0.5, 1.0], np.ones((3, 2)), np.ones((2, 2)),
+         "singular values must be nonincreasing and nonnegative"),
+        ([1.0, -0.5], np.ones((3, 2)), np.ones((2, 2)),
+         "singular values must be nonincreasing and nonnegative"),
+    ], ids=["vector-factor", "column-count", "increasing", "negative"])
+    def test_factors_reject_bad_shapes(self, s, u, v, message):
+        with pytest.raises(BadShape, match=f"^{re.escape(message)}$"):
+            SvdFactors(singular_values=s, left_vectors=u, right_vectors=v)
+
     def test_fields_are_read_only_and_caller_arrays_are_copied(self):
         rng = _rng(6)
         product = _svd_of_product(rng.normal(size=(6, 2)), rng.normal(size=(5, 2)))

@@ -469,6 +469,37 @@ class TestReadMaskedCsv:
         assert_array_equal(m.mask, ~np.isnan(values))
         assert m.values.tobytes() == values.tobytes()
 
+    def test_empty_cells_take_one_boundary_scan(self, tmp_path):
+        # the field boundaries of a file with empty cells are found once,
+        # not again after the empty fields are filled
+        spec = _write(tmp_path / "m.csv", "1,,3\n,5,\n")
+        assert _route(spec) == "plain"
+        with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as scan:
+            m = read_masked_csv(spec)
+        assert scan.call_count == 1
+        assert_array_equal(m.mask, [[True, False, True], [False, True, False]])
+
+    def test_empty_cells_read_alike_on_both_routes(self, tmp_path):
+        # a table the size of cli_small's design, as pandas writes missing
+        # cells: empty, at row starts and ends as well as inside
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((200, 50)) * 10.0 ** rng.integers(-8, 8, (200, 50))
+        values[rng.random((200, 50)) < 0.2] = np.nan
+        lines = [",".join("" if math.isnan(v) else repr(v) for v in row) for row in values.tolist()]
+        labels = tuple(f"x{j}" for j in range(50))
+        path = tmp_path / "e.csv"
+        path.write_text(",".join(labels) + "\n" + "\n".join(lines) + "\n")
+        spec = CsvMatrixSpec(path=str(path), has_header=True)
+        assert _route(spec) == "plain"
+        plain = read_masked_csv(spec)
+        loop = dataio._read_csv(spec, path.read_bytes())
+        assert 0.15 < np.count_nonzero(~plain.mask) / plain.mask.size < 0.25
+        assert not plain.mask[:, 0].all() and not plain.mask[:, -1].all()
+        assert plain.values.tobytes() == loop.values.tobytes()
+        assert plain.mask.tobytes() == loop.mask.tobytes()
+        assert plain.col_labels == loop.col_labels == labels
+        assert_array_equal(plain.mask, ~np.isnan(values))
+
     def test_file_is_opened_once_on_either_route(self, tmp_path):
         # a pipe can be read only once, so the csv route reuses the bytes
         routes = set()
@@ -788,3 +819,7 @@ class TestRecordAndJsonWriters:
         path = tmp_path / "o.json"
         write_json({"v": np.float64(0.5), "n": np.int64(3), "a": np.arange(2)}, path)
         assert json.loads(path.read_text()) == {"a": [0, 1], "n": 3, "v": 0.5}
+
+    def test_json_default_rejects_other_types(self):
+        with pytest.raises(TypeError, match="^set is not JSON serializable$"):
+            dataio.json_default({1})

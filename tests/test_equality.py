@@ -1,5 +1,6 @@
 """Equality rule of the frozen dataclasses: types that hold arrays (or a
-dict) compare and hash by identity; the value-like ones compare by value."""
+dict) compare and hash by identity, except the lab's report, which compares
+by value and is unhashable; the value-like ones compare by value."""
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from eivpcr import (
     svd,
 )
 from eivpcr.dataio import CsvMatrixSpec
-from eivpcr.simlab import gen_panel_ife, make_identification_trial
+from eivpcr.simlab import gen_panel_ife, make_identification_trial, run_experiment_subspace
 
 
 def _design():
@@ -68,3 +69,13 @@ def test_value_like_dataclasses_compare_by_value():
     assert PredictionConfig(ell=2, bound=3) == PredictionConfig(ell=2, bound=3.0)
     assert PredictionConfig(ell=2) != PredictionConfig(ell=3)
     assert hash(PredictionConfig(ell=2)) == hash(PredictionConfig(ell=2))
+
+
+def test_experiment_report_compares_by_value_and_is_unhashable():
+    a, b = (run_experiment_subspace([0.2], [0], 50) for _ in range(2))
+    assert a is not b and a == b and not a != b
+    assert a != run_experiment_subspace([0.2], [1], 50)
+    assert [a, b].index(b) == 0
+    for op in (hash, lambda r: {r}):
+        with pytest.raises(TypeError, match="^unhashable type: 'ExperimentReport'$"):
+            op(a)

@@ -408,6 +408,10 @@ class TestRunnerPath:
         run_experiment_identification([27], [0], threads=0)
         assert pools == [1, 8]
 
+    def test_negative_threads_are_rejected(self):
+        with pytest.raises(BadParam, match=r"^threads=-1 must be >= 0$"):
+            run_experiment_identification([27], [0], threads=-1)
+
 
 class TestSingleThreadedBlas:
     def test_lookup_is_not_made_at_import(self):

@@ -522,6 +522,10 @@ class TestSubspaceInclusion:
         with pytest.raises(ShapeMismatch):
             check_subspace_inclusion(np.eye(3), np.eye(4))
 
+    def test_one_dimensional_input(self):
+        with pytest.raises(ShapeMismatch, match="^both inputs must be 2-dimensional$"):
+            check_subspace_inclusion(np.eye(3), np.ones(3))
+
 
 class TestColumnLabels:
     def _labelled(self, seed=30):
@@ -593,12 +597,29 @@ class TestPcrModelInvariants:
             PcrModel(beta_hat=[np.nan], k=1, rho_hat=1.0, singular_values=[1.0])
 
     def test_spectrum_length_mismatch(self):
-        with pytest.raises(CorruptModel):
+        with pytest.raises(CorruptModel, match="^1 retained singular values for k=2$"):
+            PcrModel(beta_hat=[1.0, 2.0], k=2, rho_hat=1.0, singular_values=[1.0])
+        with pytest.raises(CorruptModel, match="^k=2 exceeds the 1 coefficients$"):
             PcrModel(beta_hat=[1.0], k=2, rho_hat=1.0, singular_values=[1.0])
 
+    def test_zero_rank(self):
+        with pytest.raises(CorruptModel, match="^k=0 must be >= 1$"):
+            PcrModel(beta_hat=[1.0], k=0, rho_hat=1.0, singular_values=[])
+
+    def test_right_vectors_of_the_wrong_shape(self):
+        f = svd(np.eye(3))
+        with pytest.raises(CorruptModel, match="^right_vectors do not match beta_hat and k$"):
+            PcrModel(
+                beta_hat=[1.0, 0.0, 0.0],
+                k=1,
+                rho_hat=1.0,
+                singular_values=[1.0],
+                right_vectors=f.right_vectors[:, :2],
+            )
+
     def test_increasing_spectrum(self):
-        with pytest.raises(CorruptModel):
-            PcrModel(beta_hat=[1.0], k=2, rho_hat=1.0, singular_values=[1.0, 2.0])
+        with pytest.raises(CorruptModel, match="^retained spectrum must be positive and nonincreasing$"):
+            PcrModel(beta_hat=[1.0, 2.0], k=2, rho_hat=1.0, singular_values=[1.0, 2.0])
 
     def test_nonpositive_spectrum(self):
         with pytest.raises(CorruptModel):
