@@ -8,8 +8,8 @@ estimation as out-of-sample prediction on a donor panel.
 
 The public names load lazily (PEP 562): ``import eivpcr`` imports no
 numpy, and each name is looked up in its submodule on every access, so
-``eivpcr.fit is eivpcr.pcr.fit`` always holds. ``python -m eivpcr.cli``
-relies on this to set the BLAS thread count before numpy loads.
+``eivpcr.fit is eivpcr.pcr.fit`` always holds. :mod:`eivpcr.cli`, run as
+a program, relies on this to set the BLAS thread count before numpy loads.
 """
 import importlib
 
@@ -51,3 +51,13 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+def _program():
+    """The ``eivpcr`` script: ``python -m eivpcr.cli``, returning its exit code."""
+    import runpy
+
+    try:
+        runpy.run_module("eivpcr.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        return exc.code

@@ -7,7 +7,7 @@ BLAS thread setting. Library calls outside them keep that setting.
 
 The pin acts on a library that is already loaded, whose worker pool has
 already started and spins idle until it times out. A CLI process has
-OpenBLAS start on one thread instead (see :mod:`eivpcr._entry`), so the
+OpenBLAS start on one thread instead (see :mod:`eivpcr.cli`), so the
 pool never starts.
 
 The same lookup binds the library's LAPACK ``dgeqrf``, which

@@ -13,8 +13,9 @@ with no fields). Each field is stripped of surrounding whitespace. A field
 equal to ``NA``, ``nan`` or the empty string is missing; any other field
 must be accepted by Python's ``float()`` (so ``1_000``, ``1e-320`` and
 non-ASCII decimal digits are numbers) and be finite. An error names the
-first ragged row or bad cell in file order. Files are decoded in the
-locale's encoding.
+first ragged row or bad cell in file order. One leading UTF-8 byte order
+mark (Excel's "CSV UTF-8" writes one) is dropped before either route below
+runs. Files are decoded in the locale's encoding.
 
 A file whose data rows hold only ASCII numbers and missing cells written
 ``NA``, ``nan`` or empty, with ``\n`` or ``\r\n`` line ends, ``,`` or ``, ``
@@ -26,6 +27,7 @@ accept, goes through ``csv`` one cell at a time. The grammar, the results
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -85,7 +87,7 @@ def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     comes from the ``csv`` loop.
     """
     with open(spec.path, "rb") as f:
-        data = f.read()
+        data = f.read().removeprefix(codecs.BOM_UTF8)
     plain = _read_plain(data, spec.has_header)
     if plain is None:
         return _read_csv(spec, data)

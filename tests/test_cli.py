@@ -201,6 +201,20 @@ class TestPredict:
             assert code == 2 and stdout == ""
             assert error_of(stderr)["error"] == "CorruptModel"
 
+    def test_model_with_a_coefficient_no_float_holds_is_corrupt(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(
+            '{"schema_version": 1, "k": 1, "rho_hat": 1.0, "beta_hat": [1' + "0" * 400
+            + ', 2.0, 3.0], "singular_values": [5.0]}'
+        )
+        z = write_csv(tmp_path / "z.csv", np.eye(3))
+        code, stdout, stderr = run_cli(
+            ["predict", "--model", model, "--z-test", z, "--ell", "1",
+             "--out", tmp_path / "pred.csv"], capsys
+        )
+        assert code == 2 and stdout == ""
+        assert error_of(stderr)["error"] == "CorruptModel"
+
     def test_bound_clamps_and_flags(self, tmp_path, identity_files, capsys):
         model, z = self._fit_identity(tmp_path, identity_files, capsys)
         out = tmp_path / "pred.json"
@@ -325,6 +339,18 @@ class TestSc:
              "--no-header", "--out", out], capsys
         )
         assert code == 0
+        got = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        np.testing.assert_allclose(got, expected, rtol=1e-8)
+
+    def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" starts the file with EF BB BF
+        panel, expected = _panel_files(tmp_path)
+        panel.write_bytes(b"\xef\xbb\xbf" + panel.read_bytes())
+        out = tmp_path / "traj.csv"
+        code, stdout, _ = run_cli(
+            ["sc", "--panel", panel, "--target", "target", "--pre", "6", "--out", out], capsys
+        )
+        assert code == 0 and diag_of(stdout)["target"] == "target"
         got = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         np.testing.assert_allclose(got, expected, rtol=1e-8)
 
@@ -785,9 +811,15 @@ class TestProcessStart:
         z = write_csv(tmp_path / "z.csv", np.eye(3))
         return self._python(code, "spectrum", "--z", z, "--out", tmp_path / "s.csv")
 
-    def test_run_as_program_runs_the_script_entry(self):
-        record = "import eivpcr._entry\neivpcr._entry.main = lambda: print('entry') or 0\n"
-        assert self._python(record + self._as_main("")) == ["entry"]
+    def test_program_loads_the_cli_once(self, tmp_path):
+        # run as __main__, cli.py is not imported again as eivpcr.cli
+        loaded = "print('eivpcr.cli' in sys.modules)\n"
+        lines = self._spectrum(tmp_path, self._as_main(loaded))
+        assert json.loads(lines[0])["command"] == "spectrum"
+        assert lines[-1] == "False"
+        lines = self._spectrum(tmp_path, self._as_console_script(loaded))
+        assert json.loads(lines[1])["command"] == "spectrum"
+        assert lines[-1] == "False"
 
     def test_run_as_program_starts_openblas_on_one_thread(self, tmp_path):
         if _blas._openblas() is None:

@@ -1,5 +1,7 @@
 import builtins
+import codecs
 import csv
+import io
 import json
 import math
 import re
@@ -46,8 +48,11 @@ def _write(path, text):
 
 def _reference_read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     """The reader as a per-cell loop: the reference both routes of the
-    reader must match bit for bit, errors included."""
-    with open(spec.path, newline="") as f:
+    reader must match bit for bit, errors included. A leading UTF-8 byte
+    order mark is not data."""
+    with open(spec.path, "rb") as f:
+        data = f.read().removeprefix(codecs.BOM_UTF8)
+    with io.TextIOWrapper(io.BytesIO(data), newline="") as f:
         try:
             rows = list(csv.reader(f))
         except csv.Error as exc:
@@ -401,6 +406,8 @@ class TestReadMaskedCsv:
         ("1,,3\n,5,\n", False, "plain"),
         ("nan,1\n2,nan\n", False, "plain"),
         ('"a""b", c,d\r\n1, nan,\r\n,NA, 2.5\r\n', True, "plain"),
+        ("\ufeff1.5,2\n3,NA\n", False, "plain"),
+        ("\ufeffc0,c1\n1.5,2\n3,NA\n", True, "plain"),
         ("a,b\n1,2,3\n", True, "csv"),
         ("1,NA\n+NA,4\n", False, "csv"),
         ("1,2\n\n3,4\n", False, "csv"),
@@ -415,9 +422,9 @@ class TestReadMaskedCsv:
         ("1_000,2\n", False, "csv"),
         ("NaN,1\n", False, "csv"),
     ], ids=["benchmark-format", "header", "one-cell", "crlf", "quoted-header", "comma-space",
-            "empty-fields", "nan", "all-rewrites", "header-width-clash", "signed-na",
-            "blank-line", "crlf-blank-line", "overflow", "ragged", "nul-header", "bare-cr", "tab",
-            "space-before-comma", "quoted-cell", "underscore", "capital-nan"])
+            "empty-fields", "nan", "all-rewrites", "bom", "bom-header", "header-width-clash",
+            "signed-na", "blank-line", "crlf-blank-line", "overflow", "ragged", "nul-header",
+            "bare-cr", "tab", "space-before-comma", "quoted-cell", "underscore", "capital-nan"])
     def test_route_taken(self, tmp_path, text, has_header, route):
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
@@ -775,6 +782,12 @@ class TestModelFiles:
             ))
         with pytest.raises(CorruptModel):
             read_model(self._tamper(tmp_path, lambda d: d.__setitem__("rho_hat", 1.5)))
+
+    def test_coefficient_no_float_holds(self, tmp_path):
+        # json reads 1 followed by 400 zeros as an int; numpy cannot make it a float
+        path = self._tamper(tmp_path, lambda d: d["beta_hat"].__setitem__(0, 10**400))
+        with pytest.raises(CorruptModel, match="int too large to convert to float"):
+            read_model(path)
 
     def test_rank_above_coefficient_count(self, tmp_path):
         def mutate(d):
