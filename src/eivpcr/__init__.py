@@ -25,12 +25,12 @@ _PUBLIC = {
         "ParseError", "Ragged", "RankOutOfRange", "SchemaMismatch", "ShapeMismatch",
         "TargetMissingPre", "UnknownUnit",
     ),
-    "metrics": ("mean_squared_error", "rmse", "snr_report"),
+    "metrics": ("mean_squared_error",),
     "pcr": (
         "PcrModel", "Prediction", "PredictionConfig", "check_subspace_inclusion", "fit",
         "predict", "predict_detailed",
     ),
-    "rank_selection": ("gap_ratios", "select_rank_energy", "select_rank_largest_gap"),
+    "rank_selection": ("select_rank_largest_gap",),
     "synthetic_control": (
         "CounterfactualResult", "PanelDataset", "counterfactual_error", "fit_rsc",
     ),

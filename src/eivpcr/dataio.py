@@ -14,7 +14,8 @@ equal to ``NA``, ``nan`` or the empty string is missing; any other field
 must be accepted by Python's ``float()`` (so ``1_000``, ``1e-320`` and
 non-ASCII decimal digits are numbers) and be finite. An error names the
 first ragged row or bad cell in file order. One leading UTF-8 byte order
-mark (Excel's "CSV UTF-8" writes one) is dropped before either route below
+mark (Excel's "CSV UTF-8" writes one) and the blank lines after the last
+row, which ``np.loadtxt`` skips too, are dropped before either route below
 runs. Files are decoded in the locale's encoding.
 
 A file whose data rows hold only ASCII numbers and missing cells written
@@ -87,12 +88,25 @@ def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     comes from the ``csv`` loop.
     """
     with open(spec.path, "rb") as f:
-        data = f.read().removeprefix(codecs.BOM_UTF8)
+        data = _drop_trailing_blank_lines(f.read().removeprefix(codecs.BOM_UTF8))
     plain = _read_plain(data, spec.has_header)
     if plain is None:
         return _read_csv(spec, data)
     labels, values, mask = plain
     return MaskedMatrix(values=values, mask=mask, col_labels=labels)
+
+
+def _drop_trailing_blank_lines(data: bytes) -> bytes:
+    """``data`` without the blank lines after its last row, as ``np.loadtxt``
+    skips them: every line end after the first that follows the last byte
+    that is not a line end. A file without such lines is returned as is,
+    uncopied; one of only line ends becomes empty."""
+    end = len(data)
+    while end and data[end - 1] in b"\r\n":
+        end -= 1
+    if end and end < len(data):
+        end += 2 if data.startswith(b"\r\n", end) else 1
+    return data[:end] if end < len(data) else data
 
 
 def _read_plain(data: bytes, has_header: bool):
@@ -356,13 +370,15 @@ def read_model(path) -> PcrModel:
 
     Structural problems (missing or mistyped fields, wrong schema
     version) raise SchemaMismatch; documents that parse but violate model
-    invariants raise CorruptModel.
+    invariants raise CorruptModel. The file is UTF-8 JSON, read as bytes,
+    so a leading byte order mark is ignored (RFC 8259 allows it).
     """
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"{path}: expected a JSON object")
     for field, want in _MODEL_FIELDS.items():

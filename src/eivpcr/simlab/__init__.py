@@ -1,4 +1,6 @@
-"""Synthetic data generators and experiment drivers."""
+"""Synthetic data generators and experiment drivers. The random-stream
+helpers ``Role``, ``child`` and ``substream`` live in
+:mod:`eivpcr.simlab.streams`."""
 from .experiments import (
     ExperimentReport,
     make_identification_trial,
@@ -18,15 +20,12 @@ from .generators import (
     gen_prob_pca,
     gen_rowspan_violation,
 )
-from .streams import Role, child, substream
 
 __all__ = [
     "ExperimentReport",
     "PanelTrial",
-    "Role",
     "Shift",
     "TrialData",
-    "child",
     "corrupt",
     "gen_factor_uv",
     "gen_panel_ife",
@@ -38,5 +37,4 @@ __all__ = [
     "run_experiment_identification",
     "run_experiment_shift",
     "run_experiment_subspace",
-    "substream",
 ]

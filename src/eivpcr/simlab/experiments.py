@@ -247,7 +247,7 @@ def make_shift_trial(size: int, sigma2: float, seed) -> dict:
     """
     n = _rank(size, "size")
     trial = child(seed, _sigma_key(sigma2), size)
-    u, v, u_tests = gen_factor_uv(n, n, n, trial)
+    u, v, u_tests = gen_factor_uv(n, trial)
     x_tests = [u_test @ v.T for u_test in u_tests.values()]
     return dict(zip(u_tests, _trial(u, v, x_tests, sigma2, trial)))
 
@@ -293,7 +293,7 @@ def make_subspace_trial(size: int, sigma2: float, seed):
     """
     n = _rank(size, "size")
     trial = child(seed, _sigma_key(sigma2), size)
-    u, v, u_ok, v_bad = gen_rowspan_violation(n, n, n, trial)
+    u, v, u_ok, v_bad = gen_rowspan_violation(n, trial)
     return tuple(_trial(u, v, (u_ok @ v.T, u @ v_bad.T), sigma2, trial))
 
 

@@ -2,7 +2,8 @@
 
 The ``gen_*`` factor-model generators return the generating factors of
 latent (noiseless) covariates, not their products: a caller forms
-``x_r @ q`` or ``u @ v.T``. ``corrupt`` adds measurement noise and an
+``x_r @ q`` or ``u @ v.T``; the shift and subspace ones draw square designs
+at ``DEFAULT_FACTOR_RANK``. ``corrupt`` adds measurement noise and an
 observation mask as a separate, independently seeded step. All functions
 are pure in (parameters, seed): calling twice yields bit-identical arrays.
 """
@@ -72,61 +73,60 @@ def gen_prob_pca(n: int, p: int, r: int, seed):
     X_r is n x r with standard normal entries; Q is r x p with entries
     drawn uniformly from {-1/sqrt(r), +1/sqrt(r)}.
     """
-    _check_dims(n=n, p=p, r=r)
+    _check_dims(r, n=n, p=p)
     rng = substream(seed, Role.LATENT)
     x_r = rng.standard_normal((n, r))
     q = rng.choice([-1.0, 1.0], size=(r, p)) / math.sqrt(r)
     return x_r, q
 
 
-def gen_factor_uv(n: int, m: int, p: int, seed, r: int = DEFAULT_FACTOR_RANK):
-    """Factors of one train latent and a test latent per shift, sharing V.
+def gen_factor_uv(size: int, seed):
+    """Factors of one square train latent and a test latent per shift, sharing V.
 
-    X = U V^T with U (n x r) and V (p x r) standard normal, drawn once. Each
-    test matrix X' = U' V^T reuses V, with U' (m x r) drawn per shift from
-    its own ``(seed, Role.LATENT_TEST, shift)`` stream, so every test
-    rowspace is contained in the train rowspace by construction.
+    X = U V^T with U and V (size x r, r the rank of the factors,
+    ``DEFAULT_FACTOR_RANK``) standard normal, drawn once. Each test matrix
+    X' = U' V^T reuses V, with U' drawn per shift from its own
+    ``(seed, Role.LATENT_TEST, shift)`` stream, so every test rowspace is
+    contained in the train rowspace by construction.
 
     Returns
     -------
     (U, V, {shift: U' for every Shift})
     """
-    _check_dims(n=n, m=m, p=p, r=r)
+    _check_dims(DEFAULT_FACTOR_RANK, size=size)
+    shape = (size, DEFAULT_FACTOR_RANK)
     rng = substream(seed, Role.LATENT)
-    u = rng.standard_normal((n, r))
-    v = rng.standard_normal((p, r))
+    u, v = rng.standard_normal(shape), rng.standard_normal(shape)
     rngs = {shift: substream(seed, Role.LATENT_TEST, int(shift)) for shift in Shift}
     u_tests = {
-        Shift.N1: rngs[Shift.N1].standard_normal((m, r)),
-        Shift.N2: math.sqrt(5.0) * rngs[Shift.N2].standard_normal((m, r)),
-        Shift.U1: rngs[Shift.U1].uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(m, r)),
-        Shift.U2: rngs[Shift.U2].uniform(-math.sqrt(15.0), math.sqrt(15.0), size=(m, r)),
+        Shift.N1: rngs[Shift.N1].standard_normal(shape),
+        Shift.N2: math.sqrt(5.0) * rngs[Shift.N2].standard_normal(shape),
+        Shift.U1: rngs[Shift.U1].uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape),
+        Shift.U2: rngs[Shift.U2].uniform(-math.sqrt(15.0), math.sqrt(15.0), size=shape),
     }
     return u, v, u_tests
 
 
-def gen_rowspan_violation(n: int, m: int, p: int, seed, r: int = DEFAULT_FACTOR_RANK):
-    """Factors of a train latent, an inclusion-preserving and a violating test latent.
+def gen_rowspan_violation(size: int, seed):
+    """Factors of a square train latent, an inclusion-preserving and a violating test latent.
 
-    The train matrix is U V^T. The preserving test set U' V^T shares the
-    train right factors (U' normal with variance 5, a distribution shift).
-    The violating test set U V'^T reuses the train left factors with fresh
-    standard normal right factors: its marginal distribution matches the
-    train matrix, but its rowspace is new. The shared-U construction
-    requires n == m.
+    The train matrix is U V^T, with U and V drawn as in :func:`gen_factor_uv`.
+    The preserving test set U' V^T shares the train right factors (U'
+    normal with variance 5, a distribution shift). The violating test set
+    U V'^T reuses the train left factors with fresh standard normal right
+    factors: its marginal distribution matches the train matrix, but its
+    rowspace is new.
 
     Returns
     -------
     (U, V, U', V')
     """
-    _check_dims(n=n, m=m, p=p, r=r)
-    if n != m:
-        raise BadShape(f"shared left factors require n == m, got {n} != {m}")
+    _check_dims(DEFAULT_FACTOR_RANK, size=size)
+    shape = (size, DEFAULT_FACTOR_RANK)
     rng = substream(seed, Role.LATENT)
-    u = rng.standard_normal((n, r))
-    v = rng.standard_normal((p, r))
-    u_ok = math.sqrt(5.0) * substream(seed, Role.LATENT_TEST).standard_normal((m, r))
-    v_bad = substream(seed, Role.LATENT_TEST_BAD).standard_normal((p, r))
+    u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+    u_ok = math.sqrt(5.0) * substream(seed, Role.LATENT_TEST).standard_normal(shape)
+    v_bad = substream(seed, Role.LATENT_TEST_BAD).standard_normal(shape)
     return u, v, u_ok, v_bad
 
 
@@ -149,7 +149,7 @@ def gen_panel_ife(n: int, m: int, p: int, r: int, sigma: float, seed) -> PanelTr
     1/sqrt(p)) plus noise of the same level. The returned truth is the
     target's noiseless post-treatment trajectory.
     """
-    _check_dims(n=n, m=m, p=p, r=r)
+    _check_dims(r, n=n, m=m, p=p)
     sigma = float(sigma)
     if not sigma >= 0:
         raise BadParam(f"sigma={sigma} must be >= 0")
@@ -202,12 +202,10 @@ def corrupt(x, sigma: float, rho: float, seed) -> MaskedMatrix:
     return MaskedMatrix.from_dense(values, mask=mask)
 
 
-def _check_dims(**dims):
-    for name, value in dims.items():
+def _check_dims(r, **dims):
+    for name, value in {**dims, "r": r}.items():
         if _rank(value, name) < 1:
             raise BadShape(f"{name}={value} must be >= 1")
-    if "r" in dims:
-        r = int(dims["r"])
-        upper = min(int(dims[k]) for k in ("n", "p") if k in dims)
-        if r > upper:
-            raise BadShape(f"r={r} exceeds min(n, p)={upper}")
+    for name in ("n", "p", "size"):
+        if name in dims and r > dims[name]:
+            raise BadShape(f"r={r} exceeds {name}={dims[name]}")

@@ -49,7 +49,8 @@ def _write(path, text):
 def _reference_read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     """The reader as a per-cell loop: the reference both routes of the
     reader must match bit for bit, errors included. A leading UTF-8 byte
-    order mark is not data."""
+    order mark is not data, and blank lines after the last row are
+    skipped."""
     with open(spec.path, "rb") as f:
         data = f.read().removeprefix(codecs.BOM_UTF8)
     with io.TextIOWrapper(io.BytesIO(data), newline="") as f:
@@ -57,6 +58,8 @@ def _reference_read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
             rows = list(csv.reader(f))
         except csv.Error as exc:
             raise ParseError(f"{spec.path}: {exc}") from None
+    while rows and not rows[-1]:
+        rows.pop()
     labels = None
     if spec.has_header:
         if not rows:
@@ -312,9 +315,25 @@ class TestReadMaskedCsv:
             read_masked_csv(spec)
 
     def test_blank_line_in_the_middle_is_ragged(self, tmp_path):
-        spec = _write(tmp_path / "m.csv", "1,2\n\n3,4\n")
-        with pytest.raises(Ragged, match="row 2 has 0 fields, expected 2"):
-            read_masked_csv(spec)
+        for text in ("1,2\n\n3,4\n", "1,2\n\n3,4\n\n"):
+            spec = _write(tmp_path / "m.csv", text)
+            with pytest.raises(Ragged, match="row 2 has 0 fields, expected 2"):
+                read_masked_csv(spec)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("header", ["", "a,b"], ids=["no-header", "header"])
+    def test_blank_lines_after_the_last_row_are_skipped(self, tmp_path, newline, header):
+        path = tmp_path / "m.csv"
+        spec = CsvMatrixSpec(path=str(path), has_header=bool(header))
+        rows = [header] * bool(header) + ["1,NA", "3,4"]
+        path.write_bytes(newline.join(rows).encode())
+        want = _outcome(read_masked_csv, spec)
+        assert want[0] == (2, 2) and want[3] == (("a", "b") if header else None)
+        for blank in (1, 3):
+            path.write_bytes((newline.join(rows) + newline * (1 + blank)).encode())
+            assert _route(spec) == "plain"
+            assert _outcome(read_masked_csv, spec) == want
+            assert _outcome(_reference_read_masked_csv, spec) == want
 
     def test_float_syntax_beyond_plain_decimals(self, tmp_path):
         m = read_masked_csv(_write(tmp_path / "m.csv", "1_000,١٢,1e-320,-.5\n"))
@@ -718,6 +737,21 @@ class TestModelFiles:
         )
         back = read_model(path)
         assert back.beta_hat.tolist() == [0.1, -2.0] and back.col_labels is None
+
+    def test_byte_order_mark_is_not_part_of_the_document(self, tmp_path):
+        # as a Windows editor may save a schema-1 model.json
+        from eivpcr import PredictionConfig, predict
+
+        model = _small_model()
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        write_model(model, plain)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        back = read_model(marked)
+        assert back.col_labels is None
+        z_new = MaskedMatrix.from_dense(np.random.default_rng(4).standard_normal((5, 6)))
+        cfg = PredictionConfig(ell=2)
+        want = predict(read_model(plain), z_new, cfg)
+        assert predict(back, z_new, cfg).tobytes() == want.tobytes()
 
     def test_labelled_model_round_trips_as_schema_2(self, tmp_path):
         model = _small_model(("a", "b c", "", 'd"e', "f", "g"))

@@ -22,7 +22,6 @@ from eivpcr import _blas
 from eivpcr.core import _svd_of_product
 from eivpcr.simlab import (
     Shift,
-    child,
     experiments,
     gen_factor_uv,
     gen_prob_pca,
@@ -34,6 +33,7 @@ from eivpcr.simlab import (
     run_experiment_shift,
     run_experiment_subspace,
 )
+from eivpcr.simlab.streams import child
 
 _IDENT_KEYS = {
     "config", "p", "r", "n", "rescaled_n", "seed", "chosen_k",
@@ -114,13 +114,13 @@ def _trials_and_generating_factors(kind, dims, seed):
     size, sigma2 = dims
     key = child(seed, experiments._sigma_key(sigma2), size)
     if kind == "shift":
-        u, v, u_tests = gen_factor_uv(size, size, size, key)
+        u, v, u_tests = gen_factor_uv(size, key)
         trials = make_shift_trial(size, sigma2, seed)
         assert list(trials) == list(u_tests)
         x_tests = [u_te @ v.T for u_te in u_tests.values()]
         trials = list(trials.values())
     else:
-        u, v, u_ok, v_bad = gen_rowspan_violation(size, size, size, key)
+        u, v, u_ok, v_bad = gen_rowspan_violation(size, key)
         x_tests = [u_ok @ v.T, u @ v_bad.T]
         trials = list(make_subspace_trial(size, sigma2, seed))
     x_train = u @ v.T

@@ -6,9 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from eivpcr import BadParam, BadShape, check_subspace_inclusion
 from eivpcr.simlab import (
-    Role,
     Shift,
-    child,
     corrupt,
     gen_factor_uv,
     gen_panel_ife,
@@ -17,8 +15,8 @@ from eivpcr.simlab import (
     make_identification_trial,
     make_shift_trial,
     make_subspace_trial,
-    substream,
 )
+from eivpcr.simlab.streams import Role, child, substream
 
 # corrupt(zeros(500, 500), sigma=0.3, rho=0.7, seed=99): observed cells
 # counted once with np.count_nonzero and frozen (binomial mean 175000)
@@ -62,8 +60,8 @@ class TestStreams:
         lambda: make_shift_trial(60, 0.1, -1),
         lambda: make_subspace_trial(60, 0.1, -1),
         lambda: gen_prob_pca(5, 5, 2, -3),
-        lambda: gen_factor_uv(6, 6, 6, -3, r=2),
-        lambda: gen_rowspan_violation(6, 6, 6, -3, r=2),
+        lambda: gen_factor_uv(10, -3),
+        lambda: gen_rowspan_violation(10, -3),
         lambda: gen_panel_ife(5, 3, 4, 2, 0.1, -3),
         lambda: corrupt(np.ones((3, 3)), 0.1, 1.0, -1),
         lambda: corrupt(np.ones((3, 3)), 0.0, 1.0, -1),  # draws no stream
@@ -99,7 +97,7 @@ class TestProbPca:
 
 @pytest.mark.parametrize("build, name", [
     (lambda: gen_prob_pca(40.5, 27, 3, 0), "n=40.5"),
-    (lambda: gen_factor_uv(30, 20, 25.0, 3, r=4), "p=25.0"),
+    (lambda: gen_factor_uv(25.0, 3), "size=25.0"),
     (lambda: gen_panel_ife(20, 5, 8, True, 0.1, 0), "r=True"),
 ], ids=["gen_prob_pca", "gen_factor_uv", "gen_panel_ife"])
 def test_generators_reject_non_integer_dims_by_name(build, name):
@@ -107,44 +105,50 @@ def test_generators_reject_non_integer_dims_by_name(build, name):
         build()
 
 
+@pytest.mark.parametrize("gen", [gen_factor_uv, gen_rowspan_violation])
+def test_square_generators_reject_a_size_below_the_factor_rank(gen):
+    with pytest.raises(BadShape, match=r"^r=10 exceeds size=9$"):
+        gen(9, 0)
+    assert gen(10, 0)[0].shape == (10, 10)
+
+
 class TestFactorUv:
     def test_train_is_shared_across_shifts(self):
-        # one n x r U and p x r V for all four shifts, each with an m x r U'
-        u, v, u_tests = gen_factor_uv(30, 20, 25, 3, r=4)
-        assert u.shape == (30, 4) and v.shape == (25, 4)
+        # one size x r U and V for all four shifts, each with a size x r U'
+        u, v, u_tests = gen_factor_uv(30, 3)
+        assert u.shape == (30, 10) and v.shape == (30, 10)
         assert list(u_tests) == list(Shift)
-        assert all(u_te.shape == (20, 4) for u_te in u_tests.values())
+        assert all(u_te.shape == (30, 10) for u_te in u_tests.values())
 
     def test_test_factors_differ_across_shifts(self):
-        tests = list(gen_factor_uv(30, 20, 25, 3, r=4)[2].values())
+        tests = list(gen_factor_uv(30, 3)[2].values())
         for i in range(len(tests)):
             for j in range(i + 1, len(tests)):
                 assert not np.array_equal(tests[i], tests[j])
 
     def test_rowspace_inclusion_for_every_shift(self):
-        u, v, u_tests = gen_factor_uv(30, 20, 25, 3, r=4)
+        u, v, u_tests = gen_factor_uv(30, 3)
         for s, u_te in u_tests.items():
             assert check_subspace_inclusion(u @ v.T, u_te @ v.T) <= 1e-8, s
 
     def test_stream_rederivation(self):
         rng = substream(9, Role.LATENT)
-        u = rng.standard_normal((15, 3))
-        v = rng.standard_normal((10, 3))
-        got_u, got_v, u_tests = gen_factor_uv(15, 12, 10, 9, r=3)
+        u = rng.standard_normal((15, 10))
+        v = rng.standard_normal((15, 10))
+        got_u, got_v, u_tests = gen_factor_uv(15, 9)
         assert_array_equal(got_u, u)
         assert_array_equal(got_v, v)
         # each shift draws from its own (seed, LATENT_TEST, shift) stream
         scale = {Shift.N1: 1.0, Shift.N2: math.sqrt(5.0)}
         for s in (Shift.N1, Shift.N2):
             rng_s = substream(9, Role.LATENT_TEST, int(s))
-            assert_array_equal(u_tests[s], scale[s] * rng_s.standard_normal((12, 3)))
+            assert_array_equal(u_tests[s], scale[s] * rng_s.standard_normal((15, 10)))
         for s, half in ((Shift.U1, math.sqrt(3.0)), (Shift.U2, math.sqrt(15.0))):
             rng_s = substream(9, Role.LATENT_TEST, int(s))
-            assert_array_equal(u_tests[s], rng_s.uniform(-half, half, size=(12, 3)))
+            assert_array_equal(u_tests[s], rng_s.uniform(-half, half, size=(15, 10)))
 
     def test_shift_moments_and_support(self):
-        m, r = 2000, 10
-        _, _, u_tests = gen_factor_uv(11, m, 11, 123, r=r)
+        _, _, u_tests = gen_factor_uv(2000, 123)
         for s, want_var, bound in (
             (Shift.N1, 1.0, None),
             (Shift.N2, 5.0, None),
@@ -161,29 +165,25 @@ class TestFactorUv:
 
 
 class TestRowspanViolation:
-    def test_requires_square_split(self):
-        with pytest.raises(BadShape):
-            gen_rowspan_violation(10, 12, 8, 0, r=2)
-
     def test_inclusion_and_violation(self):
-        u, v, u_ok, v_bad = gen_rowspan_violation(100, 100, 100, 5)
-        assert u.shape[1] == 10  # the default factor rank
+        u, v, u_ok, v_bad = gen_rowspan_violation(100, 5)
+        assert u.shape[1] == 10  # the rank of the factors
         x_tr = u @ v.T
         assert check_subspace_inclusion(x_tr, u_ok @ v.T) <= 1e-8
         assert check_subspace_inclusion(x_tr, u @ v_bad.T) > 0.5
 
     def test_bad_design_shares_left_factors(self):
-        u, v, _, v_bad = gen_rowspan_violation(60, 60, 50, 2, r=4)
+        u, v, _, v_bad = gen_rowspan_violation(60, 2)
         # same column space (left factors), different row space
         assert check_subspace_inclusion((u @ v.T).T, (u @ v_bad.T).T) <= 1e-8
 
     def test_stream_rederivation(self):
         rng = substream(4, Role.LATENT)
-        u = rng.standard_normal((20, 5))
-        v = rng.standard_normal((15, 5))
-        u_ok = math.sqrt(5.0) * substream(4, Role.LATENT_TEST).standard_normal((20, 5))
-        v_bad = substream(4, Role.LATENT_TEST_BAD).standard_normal((15, 5))
-        got = gen_rowspan_violation(20, 20, 15, 4, r=5)
+        u = rng.standard_normal((20, 10))
+        v = rng.standard_normal((20, 10))
+        u_ok = math.sqrt(5.0) * substream(4, Role.LATENT_TEST).standard_normal((20, 10))
+        v_bad = substream(4, Role.LATENT_TEST_BAD).standard_normal((20, 10))
+        got = gen_rowspan_violation(20, 4)
         for g, want in zip(got, (u, v, u_ok, v_bad), strict=True):
             assert_array_equal(g, want)
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from eivpcr import BadParam, ShapeMismatch, mean_squared_error, rmse, snr_report
+from eivpcr import BadParam, ShapeMismatch, mean_squared_error
+from eivpcr.metrics import rmse, snr_report
 
 
 class TestMeanSquaredError:

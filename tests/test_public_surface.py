@@ -20,18 +20,17 @@ _EIVPCR = [
     "PcrModel", "Prediction", "PredictionConfig", "Ragged", "RankOutOfRange",
     "SchemaMismatch", "ShapeMismatch", "SvdFactors", "TargetMissingPre",
     "UnknownUnit", "__version__", "check_subspace_inclusion",
-    "counterfactual_error", "estimate_rho", "fit", "fit_rsc", "gap_ratios",
-    "mean_squared_error", "predict", "predict_detailed", "rescale", "rmse",
-    "select_rank_energy", "select_rank_largest_gap", "snr_report",
-    "spectral_norm", "svd", "truncate_rank",
+    "counterfactual_error", "estimate_rho", "fit", "fit_rsc",
+    "mean_squared_error", "predict", "predict_detailed", "rescale",
+    "select_rank_largest_gap", "spectral_norm", "svd", "truncate_rank",
 ]
 
 _SIMLAB = [
-    "ExperimentReport", "PanelTrial", "Role", "Shift", "TrialData", "child",
-    "corrupt", "gen_factor_uv", "gen_panel_ife", "gen_prob_pca",
-    "gen_rowspan_violation", "make_identification_trial", "make_shift_trial",
-    "make_subspace_trial", "run_experiment_identification",
-    "run_experiment_shift", "run_experiment_subspace", "substream",
+    "ExperimentReport", "PanelTrial", "Shift", "TrialData", "corrupt",
+    "gen_factor_uv", "gen_panel_ife", "gen_prob_pca", "gen_rowspan_violation",
+    "make_identification_trial", "make_shift_trial", "make_subspace_trial",
+    "run_experiment_identification", "run_experiment_shift",
+    "run_experiment_subspace",
 ]
 
 

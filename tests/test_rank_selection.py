@@ -6,11 +6,10 @@ from eivpcr import (
     AllZero,
     BadParam,
     EmptySpectrum,
-    gap_ratios,
-    select_rank_energy,
     select_rank_largest_gap,
     svd,
 )
+from eivpcr.rank_selection import gap_ratios, select_rank_energy
 
 
 class TestLargestGap:

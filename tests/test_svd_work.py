@@ -16,12 +16,15 @@ latent's generating factors through ``numpy.linalg.qr``'s reduced QRs. Shift
 and subspace trials take their train factors the same way and never factor
 the n x p latent. A lab trial factors each input matrix at most twice, once
 with vectors and once without: 8 calls per subspace trial and 10 per shift
-trial.
+trial. ``bench/test_repeat.py`` pins the same SVD counts for the
+benchmark's traced runs; a test here holds both sites equal.
 """
 import hashlib
+import importlib.util
 import json
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,14 @@ import pytest
 from eivpcr import MaskedMatrix, PredictionConfig, _blas, core, fit, predict_detailed
 from eivpcr.cli import main
 from eivpcr.simlab import run_experiment_identification, run_experiment_shift, run_experiment_subspace
+from eivpcr.simlab.experiments import IDENTIFICATION_RATIOS
+
+_BENCH_PINS = Path(__file__).resolve().parents[1] / "bench" / "test_repeat.py"
+
+# numpy.linalg.svd calls per CLI command: (all, with vectors)
+_CLI_SVD = {"fit": (2, 1), "predict": (1, 1), "spectrum": (1, 0), "sc": (6, 3)}
+# numpy.linalg.svd calls per identification trial
+_IDENTIFICATION_SVD = 3
 
 
 def _record(monkeypatch, name, describe):
@@ -131,7 +142,6 @@ def _commands(f):
 def test_cli_calls_per_command(tmp_path, lapack_calls, qr_calls, capsys):
     # fit's design is 120 x 40 (tall), predict's 30 x 40 (wide); sc's
     # donor pre block is 30 x 25 (tall) and its post block 20 x 25 (wide)
-    want_svd = {"fit": (2, 1), "predict": (1, 1), "spectrum": (1, 0), "sc": (6, 3)}
     want_qr = {
         "fit": [("r", (120, 41))],  # [Z | y]
         "predict": [("r", (40, 30))],  # Z^T
@@ -143,9 +153,32 @@ def test_cli_calls_per_command(tmp_path, lapack_calls, qr_calls, capsys):
         qr_calls.clear()
         assert main(argv) == 0, name
         vectors = sum(1 for uv, _ in lapack_calls if uv)
-        assert (len(lapack_calls), vectors) == want_svd[name], name
+        assert (len(lapack_calls), vectors) == _CLI_SVD[name], name
         assert qr_calls == want_qr[name], name
     capsys.readouterr()
+
+
+def test_bench_pins_the_same_svd_counts():
+    # bench/test_repeat.py, loaded by path and unchanged, checks the
+    # benchmark's traced counts against its own copy of these numbers
+    spec = importlib.util.spec_from_file_location("_bench_test_repeat", _BENCH_PINS)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    totals = {name: calls for name, (calls, _) in _CLI_SVD.items()}
+    assert bench.CLI_BASELINE == {
+        **{f"cli.{name}_lapack_svd_calls": calls for name, calls in totals.items()},
+        "synthetic_control.lapack_svd_calls_per_fit": totals["sc"],
+        "core.lapack_svd_calls": sum(totals.values()),
+    }
+    # the lab workload runs three p values at one seed
+    assert bench.BASELINE == {
+        "cli_small": bench.CLI_BASELINE,
+        "cli_large": bench.CLI_BASELINE,
+        "lab_identification": {
+            "simlab.lapack_svd_calls_per_trial": _IDENTIFICATION_SVD,
+            "core.lapack_svd_calls": _IDENTIFICATION_SVD * 3 * len(IDENTIFICATION_RATIOS),
+        },
+    }
 
 
 def test_spectrum_only_callers_skip_vectors(tmp_path, lapack_calls, capsys):
@@ -184,7 +217,7 @@ def test_identification_trial_calls(lapack_calls, qr_calls):
     assert trials == 8
     # beta_star's projection and the fit factor with vectors; the snr
     # column reads a spectrum alone
-    assert len(lapack_calls) == 3 * trials
+    assert len(lapack_calls) == _IDENTIFICATION_SVD * trials
     assert sum(1 for uv, _ in lapack_calls if uv) == 2 * trials
     assert len(qr_calls) == 3 * trials
     # the train side runs on r x r matrices, never on the n x p latent,
