@@ -18,7 +18,6 @@ from .generators import (
     gen_factor_uv,
     gen_panel_ife,
     gen_prob_pca,
-    gen_rowspan_violation,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "gen_factor_uv",
     "gen_panel_ife",
     "gen_prob_pca",
-    "gen_rowspan_violation",
     "make_identification_trial",
     "make_shift_trial",
     "make_subspace_trial",

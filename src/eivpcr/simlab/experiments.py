@@ -38,7 +38,6 @@ from ..errors import BadParam
 from ..pcr import PredictionConfig, _inclusion_leakage, fit, predict
 from .generators import (
     DEFAULT_FACTOR_RANK, Shift, TrialData, corrupt, gen_factor_uv, gen_prob_pca,
-    gen_rowspan_violation,
 )
 from ..metrics import mean_squared_error, rmse, snr_report
 from .streams import Role, child, substream
@@ -240,14 +239,23 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
 def make_shift_trial(size: int, sigma2: float, seed) -> dict:
     """Assemble one covariate-shift trial: a TrialData per shift.
 
-    Latents are products of the factors :func:`gen_factor_uv` returns;
-    ``train_factors`` come from its U and V (see :class:`TrialData`). All
-    four test designs share the train matrix, its factors, and the
-    test-side noise draw; only the test factor distribution changes.
+    The train latent U V^T and ``train_factors`` come from the factors
+    :func:`gen_factor_uv` returns (see :class:`TrialData`). Each test latent
+    U' V^T shares V, with U' drawn per :class:`Shift` from its own
+    ``(trial, Role.LATENT_TEST, shift)`` stream, so its rowspace lies in the
+    train rowspace. The four test designs share the train matrix, its
+    factors and the test-side noise draw.
     """
     n = _rank(size, "size")
     trial = child(seed, _sigma_key(sigma2), size)
-    u, v, u_tests = gen_factor_uv(n, trial)
+    u, v = gen_factor_uv(n, trial)
+    rngs = [substream(trial, Role.LATENT_TEST, int(shift)) for shift in Shift]
+    u_tests = {
+        Shift.N1: rngs[Shift.N1].standard_normal(u.shape),
+        Shift.N2: math.sqrt(5.0) * rngs[Shift.N2].standard_normal(u.shape),
+        Shift.U1: rngs[Shift.U1].uniform(-math.sqrt(3.0), math.sqrt(3.0), size=u.shape),
+        Shift.U2: rngs[Shift.U2].uniform(-math.sqrt(15.0), math.sqrt(15.0), size=u.shape),
+    }
     x_tests = [u_test @ v.T for u_test in u_tests.values()]
     return dict(zip(u_tests, _trial(u, v, x_tests, sigma2, trial)))
 
@@ -286,14 +294,21 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentRep
 
 def make_subspace_trial(size: int, sigma2: float, seed):
     """Assemble ``(trial_ok, trial_bad)``, the inclusion-preserving and
-    inclusion-violating trials. Latents are products of the factors
-    :func:`gen_rowspan_violation` returns; ``train_factors`` come from its
-    U and V (see :class:`TrialData`). Both test designs share the train
-    matrix, its factors and the test-side noise draw.
+    inclusion-violating trials, on the train latent U V^T and
+    ``train_factors`` of :func:`gen_factor_uv` (see :class:`TrialData`).
+
+    The preserving test latent U' V^T shares V, with U' normal of variance 5
+    from ``(trial, Role.LATENT_TEST)``; the violating one U V'^T shares U,
+    with V' standard normal from ``(trial, Role.LATENT_TEST_BAD)``, so its
+    entries match the train matrix in distribution but its rowspace is new.
+    Both test designs share the train matrix, its factors and the test-side
+    noise draw.
     """
     n = _rank(size, "size")
     trial = child(seed, _sigma_key(sigma2), size)
-    u, v, u_ok, v_bad = gen_rowspan_violation(n, trial)
+    u, v = gen_factor_uv(n, trial)
+    u_ok = math.sqrt(5.0) * substream(trial, Role.LATENT_TEST).standard_normal(u.shape)
+    v_bad = substream(trial, Role.LATENT_TEST_BAD).standard_normal(v.shape)
     return tuple(_trial(u, v, (u_ok @ v.T, u @ v_bad.T), sigma2, trial))
 
 

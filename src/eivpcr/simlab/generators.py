@@ -2,10 +2,11 @@
 
 The ``gen_*`` factor-model generators return the generating factors of
 latent (noiseless) covariates, not their products: a caller forms
-``x_r @ q`` or ``u @ v.T``; the shift and subspace ones draw square designs
-at ``DEFAULT_FACTOR_RANK``. ``corrupt`` adds measurement noise and an
-observation mask as a separate, independently seeded step. All functions
-are pure in (parameters, seed): calling twice yields bit-identical arrays.
+``x_r @ q`` or ``u @ v.T``. ``gen_factor_uv`` draws the one square train
+design of the shift and subspace studies, at ``DEFAULT_FACTOR_RANK``.
+``corrupt`` adds measurement noise and an observation mask as a separate,
+independently seeded step. All functions are pure in (parameters, seed):
+calling twice yields bit-identical arrays.
 """
 from __future__ import annotations
 
@@ -81,53 +82,17 @@ def gen_prob_pca(n: int, p: int, r: int, seed):
 
 
 def gen_factor_uv(size: int, seed):
-    """Factors of one square train latent and a test latent per shift, sharing V.
+    """The factors ``(U, V)`` of one square rank-r train latent X = U V^T.
 
-    X = U V^T with U and V (size x r, r the rank of the factors,
-    ``DEFAULT_FACTOR_RANK``) standard normal, drawn once. Each test matrix
-    X' = U' V^T reuses V, with U' drawn per shift from its own
-    ``(seed, Role.LATENT_TEST, shift)`` stream, so every test rowspace is
-    contained in the train rowspace by construction.
-
-    Returns
-    -------
-    (U, V, {shift: U' for every Shift})
+    U and V are size x r (r the rank of the factors,
+    ``DEFAULT_FACTOR_RANK``) with standard normal entries, drawn from the
+    ``(seed, Role.LATENT)`` stream. The shift and subspace trial builders
+    draw their test factors from their own streams.
     """
     _check_dims(DEFAULT_FACTOR_RANK, size=size)
     shape = (size, DEFAULT_FACTOR_RANK)
     rng = substream(seed, Role.LATENT)
-    u, v = rng.standard_normal(shape), rng.standard_normal(shape)
-    rngs = {shift: substream(seed, Role.LATENT_TEST, int(shift)) for shift in Shift}
-    u_tests = {
-        Shift.N1: rngs[Shift.N1].standard_normal(shape),
-        Shift.N2: math.sqrt(5.0) * rngs[Shift.N2].standard_normal(shape),
-        Shift.U1: rngs[Shift.U1].uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape),
-        Shift.U2: rngs[Shift.U2].uniform(-math.sqrt(15.0), math.sqrt(15.0), size=shape),
-    }
-    return u, v, u_tests
-
-
-def gen_rowspan_violation(size: int, seed):
-    """Factors of a square train latent, an inclusion-preserving and a violating test latent.
-
-    The train matrix is U V^T, with U and V drawn as in :func:`gen_factor_uv`.
-    The preserving test set U' V^T shares the train right factors (U'
-    normal with variance 5, a distribution shift). The violating test set
-    U V'^T reuses the train left factors with fresh standard normal right
-    factors: its marginal distribution matches the train matrix, but its
-    rowspace is new.
-
-    Returns
-    -------
-    (U, V, U', V')
-    """
-    _check_dims(DEFAULT_FACTOR_RANK, size=size)
-    shape = (size, DEFAULT_FACTOR_RANK)
-    rng = substream(seed, Role.LATENT)
-    u, v = rng.standard_normal(shape), rng.standard_normal(shape)
-    u_ok = math.sqrt(5.0) * substream(seed, Role.LATENT_TEST).standard_normal(shape)
-    v_bad = substream(seed, Role.LATENT_TEST_BAD).standard_normal(shape)
-    return u, v, u_ok, v_bad
+    return rng.standard_normal(shape), rng.standard_normal(shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -846,6 +846,17 @@ class TestProcessStart:
         assert json.loads(lines[1])["command"] == "spectrum"
         assert lines[-1] == "True True"
 
+    def test_program_run_leaves_the_lab_pool_and_statistics_unloaded(self, tmp_path):
+        # every command loads the lab's runner module, which imports
+        # concurrent.futures and statistics only when a runner needs them
+        lazy = (
+            "mods = ('eivpcr.simlab.experiments', 'concurrent.futures', 'statistics')\n"
+            "print(*(m in sys.modules for m in mods))\n"
+        )
+        lines = self._spectrum(tmp_path, self._as_main(lazy))
+        assert json.loads(lines[0])["command"] == "spectrum"
+        assert lines[-1] == "True False False"
+
     def test_library_import_leaves_the_environment_alone(self):
         code = (
             "import os\n"

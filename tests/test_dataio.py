@@ -25,6 +25,7 @@ from eivpcr import (
     SchemaMismatch,
     TargetMissingPre,
     UnknownUnit,
+    estimate_rho,
     fit,
 )
 from eivpcr.dataio import (
@@ -334,6 +335,20 @@ class TestReadMaskedCsv:
             assert _route(spec) == "plain"
             assert _outcome(read_masked_csv, spec) == want
             assert _outcome(_reference_read_masked_csv, spec) == want
+
+    def test_trailing_comma_is_an_unobserved_last_column(self, tmp_path):
+        # a comma ending every row opens one more field, an empty cell, so
+        # the file has an extra column with no observed cell that still
+        # counts toward rho_hat
+        spec = _write(tmp_path / "m.csv", "1,2,\n3,4,\n5,6,\n")
+        assert _route(spec) == "plain"
+        m = read_masked_csv(spec)
+        assert_array_equal(m.mask, [[True, True, False]] * 3)
+        assert_array_equal(m.values[:, :2], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert estimate_rho(m) == 6 / 9
+        loop = dataio._read_csv(spec, (tmp_path / "m.csv").read_bytes())
+        assert _outcome(lambda _: loop, spec) == _outcome(read_masked_csv, spec)
+        assert _outcome(_reference_read_masked_csv, spec) == _outcome(read_masked_csv, spec)
 
     def test_float_syntax_beyond_plain_decimals(self, tmp_path):
         m = read_masked_csv(_write(tmp_path / "m.csv", "1_000,١٢,1e-320,-.5\n"))

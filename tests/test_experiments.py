@@ -25,7 +25,6 @@ from eivpcr.simlab import (
     experiments,
     gen_factor_uv,
     gen_prob_pca,
-    gen_rowspan_violation,
     make_identification_trial,
     make_shift_trial,
     make_subspace_trial,
@@ -104,27 +103,20 @@ class TestIdentificationRunner:
 
 def _trials_and_generating_factors(kind, dims, seed):
     """A trial kind's TrialData list, the ``(left, right)`` factors of its
-    ``x_train = left @ right.T`` and the ``(x_train, x_test)`` products of
-    its public generator's factors, one pair per TrialData."""
+    ``x_train = left @ right.T`` from its public generator, and their
+    product. The shift and subspace test designs are re-derived from their
+    streams in ``tests/test_generators.py``."""
     if kind == "identification":
         p, n, r = dims
         x_r, q = gen_prob_pca(n, p, r, child(seed, p, n))
-        trial = make_identification_trial(p, n, r, seed)
-        return [trial], (x_r, q.T), [(x_r @ q, None)]
+        return [make_identification_trial(p, n, r, seed)], (x_r, q.T), x_r @ q
     size, sigma2 = dims
-    key = child(seed, experiments._sigma_key(sigma2), size)
+    u, v = gen_factor_uv(size, child(seed, experiments._sigma_key(sigma2), size))
     if kind == "shift":
-        u, v, u_tests = gen_factor_uv(size, key)
-        trials = make_shift_trial(size, sigma2, seed)
-        assert list(trials) == list(u_tests)
-        x_tests = [u_te @ v.T for u_te in u_tests.values()]
-        trials = list(trials.values())
+        trials = list(make_shift_trial(size, sigma2, seed).values())
     else:
-        u, v, u_ok, v_bad = gen_rowspan_violation(size, key)
-        x_tests = [u_ok @ v.T, u @ v_bad.T]
         trials = list(make_subspace_trial(size, sigma2, seed))
-    x_train = u @ v.T
-    return trials, (u, v), [(x_train, x_te) for x_te in x_tests]
+    return trials, (u, v), u @ v.T
 
 
 class TestTrainFactors:
@@ -138,16 +130,14 @@ class TestTrainFactors:
     def test_identification_trial_factors_its_generating_factors(self, kind, dims, seed):
         # every trial kind takes its train factors from the generating
         # factors of x_train, never from the n x p latent
-        trials, (left, right), generated = _trials_and_generating_factors(kind, dims, seed)
+        trials, (left, right), x_train = _trials_and_generating_factors(kind, dims, seed)
         want = _svd_of_product(left, right)
         n, r = left.shape
         p = right.shape[0]
-        for trial, (x_train, x_test) in zip(trials, generated, strict=True):
+        assert len(trials) == {"identification": 1, "shift": 4, "subspace": 2}[kind]
+        for trial in trials:
             assert_array_equal(trial.x_train, x_train)
-            if x_test is None:
-                assert trial.x_test is None
-            else:
-                assert_array_equal(trial.x_test, x_test)
+            assert (trial.x_test is None) == (kind == "identification")
             got = trial.train_factors
             assert_array_equal(got.singular_values, want.singular_values)
             assert_array_equal(got.left_vectors, want.left_vectors)

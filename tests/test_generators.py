@@ -8,10 +8,10 @@ from eivpcr import BadParam, BadShape, check_subspace_inclusion
 from eivpcr.simlab import (
     Shift,
     corrupt,
+    experiments,
     gen_factor_uv,
     gen_panel_ife,
     gen_prob_pca,
-    gen_rowspan_violation,
     make_identification_trial,
     make_shift_trial,
     make_subspace_trial,
@@ -61,7 +61,6 @@ class TestStreams:
         lambda: make_subspace_trial(60, 0.1, -1),
         lambda: gen_prob_pca(5, 5, 2, -3),
         lambda: gen_factor_uv(10, -3),
-        lambda: gen_rowspan_violation(10, -3),
         lambda: gen_panel_ife(5, 3, 4, 2, 0.1, -3),
         lambda: corrupt(np.ones((3, 3)), 0.1, 1.0, -1),
         lambda: corrupt(np.ones((3, 3)), 0.0, 1.0, -1),  # draws no stream
@@ -105,57 +104,84 @@ def test_generators_reject_non_integer_dims_by_name(build, name):
         build()
 
 
-@pytest.mark.parametrize("gen", [gen_factor_uv, gen_rowspan_violation])
-def test_square_generators_reject_a_size_below_the_factor_rank(gen):
+@pytest.mark.parametrize("train_of", [
+    pytest.param(lambda size: gen_factor_uv(size, 0)[0], id="gen_factor_uv"),
+    pytest.param(lambda size: make_shift_trial(size, 0.1, 0)[Shift.N1].x_train,
+                 id="make_shift_trial"),
+    pytest.param(lambda size: make_subspace_trial(size, 0.1, 0)[0].x_train,
+                 id="make_subspace_trial"),
+])
+def test_square_generators_reject_a_size_below_the_factor_rank(train_of):
     with pytest.raises(BadShape, match=r"^r=10 exceeds size=9$"):
-        gen(9, 0)
-    assert gen(10, 0)[0].shape == (10, 10)
+        train_of(9)
+    assert train_of(10).shape == (10, 10)
+
+
+def _trial_key(size, sigma2, seed):
+    # the stream key a shift or subspace builder derives for one trial
+    return child(seed, experiments._sigma_key(sigma2), size)
 
 
 class TestFactorUv:
+    """The covariate-shift design: the train factors ``gen_factor_uv``
+    draws and the four shifted test designs ``make_shift_trial`` builds
+    on them."""
+
     def test_train_is_shared_across_shifts(self):
-        # one size x r U and V for all four shifts, each with a size x r U'
-        u, v, u_tests = gen_factor_uv(30, 3)
+        # one size x r U and V, and so one train matrix, for all four shifts
+        u, v = gen_factor_uv(30, _trial_key(30, 0.3, 3))
         assert u.shape == (30, 10) and v.shape == (30, 10)
-        assert list(u_tests) == list(Shift)
-        assert all(u_te.shape == (30, 10) for u_te in u_tests.values())
+        trials = make_shift_trial(30, 0.3, 3)
+        assert list(trials) == list(Shift)
+        for trial in trials.values():
+            assert_array_equal(trial.x_train, u @ v.T)
+            assert trial.x_test.shape == (30, 30)
 
     def test_test_factors_differ_across_shifts(self):
-        tests = list(gen_factor_uv(30, 3)[2].values())
+        tests = [t.x_test for t in make_shift_trial(30, 0.3, 3).values()]
         for i in range(len(tests)):
             for j in range(i + 1, len(tests)):
                 assert not np.array_equal(tests[i], tests[j])
 
     def test_rowspace_inclusion_for_every_shift(self):
-        u, v, u_tests = gen_factor_uv(30, 3)
-        for s, u_te in u_tests.items():
-            assert check_subspace_inclusion(u @ v.T, u_te @ v.T) <= 1e-8, s
+        for s, trial in make_shift_trial(30, 0.3, 3).items():
+            assert check_subspace_inclusion(trial.x_train, trial.x_test) <= 1e-8, s
 
     def test_stream_rederivation(self):
+        # white box: the exact draws behind X = U V^T and every X' = U' V^T
         rng = substream(9, Role.LATENT)
         u = rng.standard_normal((15, 10))
         v = rng.standard_normal((15, 10))
-        got_u, got_v, u_tests = gen_factor_uv(15, 9)
+        got_u, got_v = gen_factor_uv(15, 9)
         assert_array_equal(got_u, u)
         assert_array_equal(got_v, v)
-        # each shift draws from its own (seed, LATENT_TEST, shift) stream
+        key = _trial_key(15, 0.2, 9)
+        u, v = gen_factor_uv(15, key)
+        trials = make_shift_trial(15, 0.2, 9)
+        # each shift draws U' from its own (trial, LATENT_TEST, shift) stream
         scale = {Shift.N1: 1.0, Shift.N2: math.sqrt(5.0)}
         for s in (Shift.N1, Shift.N2):
-            rng_s = substream(9, Role.LATENT_TEST, int(s))
-            assert_array_equal(u_tests[s], scale[s] * rng_s.standard_normal((15, 10)))
+            rng_s = substream(key, Role.LATENT_TEST, int(s))
+            u_te = scale[s] * rng_s.standard_normal((15, 10))
+            assert_array_equal(trials[s].x_test, u_te @ v.T)
         for s, half in ((Shift.U1, math.sqrt(3.0)), (Shift.U2, math.sqrt(15.0))):
-            rng_s = substream(9, Role.LATENT_TEST, int(s))
-            assert_array_equal(u_tests[s], rng_s.uniform(-half, half, size=(15, 10)))
+            rng_s = substream(key, Role.LATENT_TEST, int(s))
+            u_te = rng_s.uniform(-half, half, size=(15, 10))
+            assert_array_equal(trials[s].x_test, u_te @ v.T)
 
     def test_shift_moments_and_support(self):
-        _, _, u_tests = gen_factor_uv(2000, 123)
+        # U' recovered from each test design as the least-squares solution
+        # of X' = U' V^T (exact up to rounding, V having full column rank)
+        size = 1000
+        _, v = gen_factor_uv(size, _trial_key(size, 0.0, 123))
+        trials = make_shift_trial(size, 0.0, 123)
         for s, want_var, bound in (
             (Shift.N1, 1.0, None),
             (Shift.N2, 5.0, None),
             (Shift.U1, 1.0, math.sqrt(3.0)),
             (Shift.U2, 5.0, math.sqrt(15.0)),
         ):
-            u_test = u_tests[s]
+            u_test = np.linalg.lstsq(v, trials[s].x_test.T, rcond=None)[0].T
             var = float(np.var(u_test))
             assert var == pytest.approx(want_var, abs=0.25), s
             if bound is not None:
@@ -165,27 +191,34 @@ class TestFactorUv:
 
 
 class TestRowspanViolation:
+    """The subspace-inclusion design: ``make_subspace_trial``'s preserving
+    test design U' V^T and violating test design U V'^T on the train
+    factors ``gen_factor_uv`` draws."""
+
     def test_inclusion_and_violation(self):
-        u, v, u_ok, v_bad = gen_rowspan_violation(100, 5)
-        assert u.shape[1] == 10  # the rank of the factors
-        x_tr = u @ v.T
-        assert check_subspace_inclusion(x_tr, u_ok @ v.T) <= 1e-8
-        assert check_subspace_inclusion(x_tr, u @ v_bad.T) > 0.5
+        trial_ok, trial_bad = make_subspace_trial(100, 0.3, 5)
+        # the rank of the factors
+        assert trial_ok.train_factors.singular_values.shape == (10,)
+        assert check_subspace_inclusion(trial_ok.x_train, trial_ok.x_test) <= 1e-8
+        assert check_subspace_inclusion(trial_bad.x_train, trial_bad.x_test) > 0.5
 
     def test_bad_design_shares_left_factors(self):
-        u, v, _, v_bad = gen_rowspan_violation(60, 2)
+        _, trial_bad = make_subspace_trial(60, 0.3, 2)
         # same column space (left factors), different row space
-        assert check_subspace_inclusion((u @ v.T).T, (u @ v_bad.T).T) <= 1e-8
+        assert check_subspace_inclusion(trial_bad.x_train.T, trial_bad.x_test.T) <= 1e-8
 
     def test_stream_rederivation(self):
-        rng = substream(4, Role.LATENT)
+        key = _trial_key(20, 0.2, 4)
+        rng = substream(key, Role.LATENT)
         u = rng.standard_normal((20, 10))
         v = rng.standard_normal((20, 10))
-        u_ok = math.sqrt(5.0) * substream(4, Role.LATENT_TEST).standard_normal((20, 10))
-        v_bad = substream(4, Role.LATENT_TEST_BAD).standard_normal((20, 10))
-        got = gen_rowspan_violation(20, 4)
-        for g, want in zip(got, (u, v, u_ok, v_bad), strict=True):
-            assert_array_equal(g, want)
+        u_ok = math.sqrt(5.0) * substream(key, Role.LATENT_TEST).standard_normal((20, 10))
+        v_bad = substream(key, Role.LATENT_TEST_BAD).standard_normal((20, 10))
+        got = make_subspace_trial(20, 0.2, 4)
+        want = (u_ok @ v.T, u @ v_bad.T)
+        for trial, x_test in zip(got, want, strict=True):
+            assert_array_equal(trial.x_train, u @ v.T)
+            assert_array_equal(trial.x_test, x_test)
 
 
 class TestPanelIfe:

@@ -27,10 +27,9 @@ _EIVPCR = [
 
 _SIMLAB = [
     "ExperimentReport", "PanelTrial", "Shift", "TrialData", "corrupt",
-    "gen_factor_uv", "gen_panel_ife", "gen_prob_pca", "gen_rowspan_violation",
-    "make_identification_trial", "make_shift_trial", "make_subspace_trial",
-    "run_experiment_identification", "run_experiment_shift",
-    "run_experiment_subspace",
+    "gen_factor_uv", "gen_panel_ife", "gen_prob_pca", "make_identification_trial",
+    "make_shift_trial", "make_subspace_trial", "run_experiment_identification",
+    "run_experiment_shift", "run_experiment_subspace",
 ]
 
 
