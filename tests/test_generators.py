@@ -61,6 +61,7 @@ class TestStreams:
         lambda: make_subspace_trial(60, 0.1, -1),
         lambda: gen_prob_pca(5, 5, 2, -3),
         lambda: gen_factor_uv(10, -3),
+        lambda: gen_panel_ife(5, 3, 4, 2, 0.0, -3),  # draws no noise stream
         lambda: gen_panel_ife(5, 3, 4, 2, 0.1, -3),
         lambda: corrupt(np.ones((3, 3)), 0.1, 1.0, -1),
         lambda: corrupt(np.ones((3, 3)), 0.0, 1.0, -1),  # draws no stream
