@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a simulation study and write its report")
     p.add_argument("--name", required=True, choices=tuple(_EXPERIMENTS))
     p.add_argument("--size", type=int, default=None,
-                   help="n = m = p for shift/subspace trials (default 300)")
+                   help=f"n = m = p for shift/subspace trials (default {DEFAULT_TRIAL_SIZE})")
     p.add_argument("--seeds", type=int, default=None,
                    help="number of seeds (trials per configuration)")
     p.add_argument("--noise", type=float, action="append", default=None,
@@ -186,7 +186,7 @@ def cmd_fit(args) -> int:
     z = read_masked_csv(CsvMatrixSpec(path=args.z, has_header=args.has_header))
     y = read_response_csv(CsvMatrixSpec(path=args.y))
     s = _singular_values(rescale(z)[0])
-    k = _auto_k(s, z.rows, z.cols) if args.k == "auto" else args.k
+    k = _auto_k(s) if args.k == "auto" else args.k
     model = fit(z, y, k)
     write_model(model, args.out)
     ratios = gap_ratios(s)
@@ -256,7 +256,7 @@ def cmd_spectrum(args) -> int:
         "command": "spectrum",
         "rho_hat": rho_hat,
         "count": int(s.size),
-        "suggested_k": _auto_k(s, z.rows, z.cols),
+        "suggested_k": _auto_k(s),
         "out": str(args.out),
     })
     return 0
@@ -298,11 +298,11 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _auto_k(s, n: int, p: int) -> int:
-    # search only the top half of the spectrum: the elbow of interest sits
-    # among the leading values, while trailing near-zero pairs can fake
-    # arbitrarily large ratios
-    return _auto_rank(s, max(1, min(n, p) // 2))
+def _auto_k(s) -> int:
+    # search only the top half of the values-only spectrum, which holds
+    # min(n, p) values: the elbow of interest sits among the leading values,
+    # while trailing near-zero pairs can fake arbitrarily large ratios
+    return _auto_rank(s, max(1, len(s) // 2))
 
 
 def _rank_arg(name: str, keyword: str):

@@ -141,9 +141,9 @@ class SvdFactors:
     right_vectors: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.singular_values, dtype=float)
-        u = np.array(self.left_vectors, dtype=float)
-        v = np.array(self.right_vectors, dtype=float)
+        s = _frozen(self.singular_values)
+        u = _frozen(self.left_vectors)
+        v = _frozen(self.right_vectors)
         if s.ndim != 1 or u.ndim != 2 or v.ndim != 2:
             raise BadShape("factors must be (q,), (rows, q), (cols, q)")
         if u.shape[1] != s.shape[0] or v.shape[1] != s.shape[0]:
@@ -151,7 +151,6 @@ class SvdFactors:
         if s.shape[0] and (np.any(s < 0) or np.any(np.diff(s) > 0)):
             raise BadShape("singular values must be nonincreasing and nonnegative")
         for name, a in (("singular_values", s), ("left_vectors", u), ("right_vectors", v)):
-            a.flags.writeable = False
             object.__setattr__(self, name, a)
 
 
@@ -160,10 +159,8 @@ def _apply_sign_convention(vt: np.ndarray, u: np.ndarray | None = None) -> None:
     the paired columns of ``u`` when a caller has them."""
     if vt.size == 0:
         return
-    mag = np.abs(vt)
-    # argmax returns the first True: among entries tied for the largest
-    # magnitude in a row, the one with the lowest column index
-    peak_cols = (mag == mag.max(axis=1, keepdims=True)).argmax(axis=1)
+    # argmax returns the first of tied maxima: the lowest column index
+    peak_cols = np.abs(vt).argmax(axis=1)
     sign = np.where(vt[np.arange(vt.shape[0]), peak_cols] < 0, -1.0, 1.0)
     vt *= sign[:, None]  # multiplying by 1.0 or -1.0 is exact
     if u is not None:

@@ -14,9 +14,11 @@ equal to ``NA``, ``nan`` or the empty string is missing; any other field
 must be accepted by Python's ``float()`` (so ``1_000``, ``1e-320`` and
 non-ASCII decimal digits are numbers) and be finite. An error names the
 first ragged row or bad cell in file order. One leading UTF-8 byte order
-mark (Excel's "CSV UTF-8" writes one) and the blank lines after the last
-row, which ``np.loadtxt`` skips too, are dropped before either route below
-runs. Files are decoded in the locale's encoding.
+mark (Excel's "CSV UTF-8" writes one) and every ``\r`` and ``\n`` byte at
+the end of the file are dropped before either route below runs, so the
+blank lines after the last row, which ``np.loadtxt`` skips too, are not
+rows; a last line holding only spaces or tabs stays a row. Files are
+decoded in the locale's encoding.
 
 A file whose data rows hold only ASCII numbers and missing cells written
 ``NA``, ``nan`` or empty, with ``\n`` or ``\r\n`` line ends, ``,`` or ``, ``
@@ -88,25 +90,12 @@ def read_masked_csv(spec: CsvMatrixSpec) -> MaskedMatrix:
     comes from the ``csv`` loop.
     """
     with open(spec.path, "rb") as f:
-        data = _drop_trailing_blank_lines(f.read().removeprefix(codecs.BOM_UTF8))
+        data = f.read().removeprefix(codecs.BOM_UTF8).rstrip(b"\r\n")
     plain = _read_plain(data, spec.has_header)
     if plain is None:
         return _read_csv(spec, data)
     labels, values, mask = plain
     return MaskedMatrix(values=values, mask=mask, col_labels=labels)
-
-
-def _drop_trailing_blank_lines(data: bytes) -> bytes:
-    """``data`` without the blank lines after its last row, as ``np.loadtxt``
-    skips them: every line end after the first that follows the last byte
-    that is not a line end. A file without such lines is returned as is,
-    uncopied; one of only line ends becomes empty."""
-    end = len(data)
-    while end and data[end - 1] in b"\r\n":
-        end -= 1
-    if end and end < len(data):
-        end += 2 if data.startswith(b"\r\n", end) else 1
-    return data[:end] if end < len(data) else data
 
 
 def _read_plain(data: bytes, has_header: bool):
@@ -154,10 +143,9 @@ def _read_plain(data: bytes, has_header: bool):
         data = data.replace(b"\r\n", b"\n").replace(b", ", b",").replace(b"nan", b"NA")
         if data.translate(None, _PLAIN_BYTES):
             return None
-    body = data[:-1] if data.endswith(b"\n") else data
-    if not body:
+    if not data:
         return None
-    a = np.frombuffer(body, dtype=np.uint8)
+    a = np.frombuffer(data, dtype=np.uint8)
     # field i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1
     bounds = np.flatnonzero((a == _COMMA) | (a == _NEWLINE))
     bounds = np.concatenate(([-1], bounds, [a.size]))
@@ -181,10 +169,10 @@ def _read_plain(data: bytes, has_header: bool):
         line_end = np.concatenate(([True], a[bounds[1:-1]] == _NEWLINE, [True]))
         if (empty & line_end[:-1] & line_end[1:]).any():
             return None
-        body = np.insert(a, starts[empty], _ZERO).tobytes()
+        data = np.insert(a, starts[empty], _ZERO).tobytes()
     try:
         values = np.loadtxt(
-            io.BytesIO(body.translate(_NA_AS_ZEROS)),
+            io.BytesIO(data.translate(_NA_AS_ZEROS)),
             delimiter=",",
             dtype=float,
             ndmin=2,

@@ -82,8 +82,8 @@ class PcrModel:
     col_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        beta = np.array(self.beta_hat, dtype=float).ravel()
-        s = np.array(self.singular_values, dtype=float).ravel()
+        beta = _frozen(np.ravel(self.beta_hat))
+        s = _frozen(np.ravel(self.singular_values))
         if not np.all(np.isfinite(beta)):
             raise CorruptModel("beta_hat must be finite")
         if int(self.k) < 1:
@@ -97,8 +97,6 @@ class PcrModel:
         rho = float(self.rho_hat)
         if not 0.0 < rho <= 1.0:
             raise CorruptModel(f"rho_hat={rho} outside (0, 1]")
-        beta.flags.writeable = False
-        s.flags.writeable = False
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "singular_values", s)
         object.__setattr__(self, "k", int(self.k))
@@ -252,18 +250,13 @@ def predict_detailed(model: PcrModel, z_test: MaskedMatrix, cfg: PredictionConfi
     )
     # at ell_eff == 0 BLAS sums from +0.0, so y_hat is +0.0 on a -0.0 design too
     raw = rescaled @ (v @ (v.T @ model.beta_hat))
-    if cfg.bound is None:
-        y_hat = raw
-        clamped = np.zeros(raw.shape, dtype=bool)
-    else:
-        y_hat = np.clip(raw, -cfg.bound, cfg.bound)
-        clamped = np.abs(raw) > cfg.bound
+    bound = cfg.bound or np.inf  # a set bound is positive; no bound clamps nothing
     return Prediction(
-        y_hat=y_hat,
+        y_hat=np.clip(raw, -bound, bound),
         rho_hat_prime=rho_hat_prime,
         ell=cfg.ell,
         ell_effective=s.shape[0],
-        clamped=clamped,
+        clamped=np.abs(raw) > bound,
         singular_values=_frozen(s),
         right_vectors=_frozen(v),
     )

@@ -157,11 +157,13 @@ def _trial(left, right, x_tests, sigma2, trial):
     ]
 
 
-def _run(name, keys, one, threads, sort_cols, group_cols, value_cols, extra=None) -> ExperimentReport:
-    """Run ``one(*key)`` for every key, sort the records by ``sort_cols``
-    and aggregate ``value_cols`` over the seeds of each ``group_cols`` group."""
+def _run(name, keys, one, threads, group_cols, value_cols, extra=None) -> ExperimentReport:
+    """Run ``one(*key)`` for every key, sort the records by ``group_cols``
+    and then seed, and aggregate ``value_cols`` over the seeds of each
+    ``group_cols`` group."""
     # looked up by global name on every call, so a rebound _run_trials is used
     records = _run_trials(one, keys, _resolve_threads(threads))
+    sort_cols = (*group_cols, "seed")
     records = tuple(sorted(records, key=lambda rec: tuple(rec[c] for c in sort_cols)))
     return ExperimentReport(name, records, _aggregate(records, group_cols, value_cols, extra))
 
@@ -231,7 +233,7 @@ def run_experiment_identification(ps, seeds, threads=None) -> ExperimentReport:
         }
 
     return _run(
-        "identification", keys, one, threads, ("p", "n", "seed"),
+        "identification", keys, one, threads,
         ("p", "r", "n", "rescaled_n"), ("rmse_beta_star", "rmse_beta_raw", "snr"),
     )
 
@@ -273,7 +275,7 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentRep
         trials = make_shift_trial(size, sigma2, seed)
         base = trials[Shift.N1]
         model = fit(base.z_train, base.y, k=r)
-        rec = _noise_record("factor_shift", size, r, sigma2, seed, base.train_factors)
+        rec = _noise_record("factor_shift", size, sigma2, seed, base.train_factors)
         for shift, trial in trials.items():
             y_hat = predict(model, trial.z_test, PredictionConfig(ell=r))
             rec[f"mse_{shift.name}"] = mean_squared_error(y_hat, trial.theta_test)
@@ -287,8 +289,7 @@ def run_experiment_shift(noise_grid, seeds, size, threads=None) -> ExperimentRep
         return {"mse_max_over_min": max(means) / min(means) if min(means) > 0 else math.inf}
 
     return _run(
-        "shift", keys, one, threads, ("sigma2", "seed"),
-        ("sigma2", "size"), mse_cols + ("snr",), extra=ratio,
+        "shift", keys, one, threads, ("sigma2", "size"), mse_cols + ("snr",), extra=ratio,
     )
 
 
@@ -324,7 +325,7 @@ def run_experiment_subspace(noise_grid, seeds, size, threads=None) -> Experiment
         cfg = PredictionConfig(ell=r)
         mse_ok = mean_squared_error(predict(model, trial_ok.z_test, cfg), trial_ok.theta_test)
         mse_bad = mean_squared_error(predict(model, trial_bad.z_test, cfg), trial_bad.theta_test)
-        rec = _noise_record("factor_rowspan_violation", size, r, sigma2, seed, trial_ok.train_factors)
+        rec = _noise_record("factor_rowspan_violation", size, sigma2, seed, trial_ok.train_factors)
         rec.update(
             mse_ok=mse_ok,
             mse_bad=mse_bad,
@@ -339,7 +340,7 @@ def run_experiment_subspace(noise_grid, seeds, size, threads=None) -> Experiment
         return {"mse_ratio_of_means": agg["mse_bad_mean"] / ok if ok > 0 else math.inf}
 
     return _run(
-        "subspace", keys, one, threads, ("sigma2", "seed"),
+        "subspace", keys, one, threads,
         ("sigma2", "size"), ("mse_ok", "mse_bad", "leakage_ok", "leakage_bad"), extra=ratio,
     )
 
@@ -348,9 +349,10 @@ def _snr(x, r) -> float:
     return snr_report(_singular_values(x)[r - 1], 1.0, *x.shape)
 
 
-def _noise_record(kind, size, r, sigma2, seed, train_factors) -> dict:
-    """The columns a shift or subspace record starts with; ``snr`` reads
-    the trial's rank-r train factors."""
+def _noise_record(kind, size, sigma2, seed, train_factors) -> dict:
+    """The columns a shift or subspace record starts with; the rank r and
+    ``snr`` read the trial's rank-r train factors."""
+    r = train_factors.singular_values.size
     return {
         "config": _config(kind, size, size, size, r, sigma2),
         "sigma2": sigma2,

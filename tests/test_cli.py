@@ -541,7 +541,7 @@ def test_auto_rank_unchanged_by_values_only_spectrum(tmp_path, capsys, name):
     x = _fixture_designs()[name]
     z = write_csv(tmp_path / "z.csv", x)
     y = write_csv(tmp_path / "y.csv", np.ones((x.shape[0], 1)))
-    want = _auto_k(svd(x).singular_values, *x.shape)
+    want = _auto_k(svd(x).singular_values)
     code, stdout, _ = run_cli(
         ["fit", "--z", z, "--y", y, "--k", "auto", "--out", tmp_path / "m.json"], capsys
     )

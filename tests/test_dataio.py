@@ -336,6 +336,19 @@ class TestReadMaskedCsv:
             assert _outcome(read_masked_csv, spec) == want
             assert _outcome(_reference_read_masked_csv, spec) == want
 
+    @pytest.mark.parametrize("text", ["1,2\n \n", "1,2\n\t\n", "1,2\r\n \r\n"],
+                             ids=["space", "tab", "crlf-space"])
+    def test_last_line_of_only_whitespace_is_a_row(self, tmp_path, text):
+        # only line ends are dropped from the end of a file: a last line
+        # holding a space or a tab is a row of one field
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        spec = CsvMatrixSpec(path=str(path))
+        want = _outcome(_reference_read_masked_csv, spec)
+        assert want[:2] == (Ragged, f"{path}: row 2 has 1 fields, expected 2")
+        assert _outcome(read_masked_csv, spec) == want
+        assert _outcome(lambda s: dataio._read_csv(s, path.read_bytes()), spec) == want
+
     def test_trailing_comma_is_an_unobserved_last_column(self, tmp_path):
         # a comma ending every row opens one more field, an empty cell, so
         # the file has an extra column with no observed cell that still
