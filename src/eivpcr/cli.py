@@ -74,13 +74,12 @@ _EXIT_INPUT = 2
 _EXIT_NUMERICAL = 3
 _NUMERICAL_ERRORS = (DegenerateSpectrum, NoConverge)
 
-DEFAULT_TRIAL_SIZE = 300
-
-# experiment name -> (runner, grid flag, default grid, default seed count)
+# name -> (runner, default seed count, {flag: default}), in the runner's order, grid first
 _EXPERIMENTS = {
-    "identification": (run_experiment_identification, "p", (64, 128, 216), 20),
-    "shift": (run_experiment_shift, "noise", tuple(round(0.1 * i, 1) for i in range(1, 11)), 10),
-    "subspace": (run_experiment_subspace, "noise", (0.2,), 10),
+    "identification": (run_experiment_identification, 20, {"p": (64, 128, 216)}),
+    "shift": (run_experiment_shift, 10,
+              {"noise": tuple(i / 10 for i in range(1, 11)), "size": 300}),
+    "subspace": (run_experiment_subspace, 10, {"noise": (0.2,), "size": 300}),
 }
 
 
@@ -167,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a simulation study and write its report")
     p.add_argument("--name", required=True, choices=tuple(_EXPERIMENTS))
     p.add_argument("--size", type=int, default=None,
-                   help=f"n = m = p for shift/subspace trials (default {DEFAULT_TRIAL_SIZE})")
+                   help=f"n = m = p of each trial ({_takes('size')})")
     p.add_argument("--seeds", type=int, default=None,
                    help="number of seeds (trials per configuration)")
     p.add_argument("--noise", type=float, action="append", default=None,
-                   help="noise variance; repeat for a grid (shift/subspace only)")
+                   help=f"noise variance; repeat for a grid ({_takes('noise')})")
     p.add_argument("--p", type=int, action="append", default=None,
-                   help="covariate dimension; repeat for a grid (identification only)")
+                   help=f"covariate dimension; repeat for a grid ({_takes('p')})")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; trials use seed, seed+1, ... (default 0)")
     p.add_argument("--out", required=True, help="output directory")
@@ -263,24 +262,18 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    threads = _threads_from_env()
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise BadParam(f"--out {out} exists and is not a directory")
-    run, grid_flag, default_grid, default_seeds = _EXPERIMENTS[args.name]
-    if args.name == "identification":
-        if args.size is not None:
-            raise BadParam("identification sweeps its own sample sizes; --size is not applicable")
-        if args.noise:
-            raise BadParam("identification pins its noise level; --noise is not applicable")
-        size = ()
-    else:
-        if args.p:
-            raise BadParam("--p applies to the identification experiment only")
-        size = (args.size if args.size is not None else DEFAULT_TRIAL_SIZE,)
-    grid = getattr(args, grid_flag) or list(default_grid)
+    run, default_seeds, flags = _EXPERIMENTS[args.name]
+    given = vars(args)
+    for _, _, other in _EXPERIMENTS.values():
+        for flag in other:
+            if flag not in flags and given[flag] is not None:
+                raise BadParam(f"--{flag} does not apply to the {args.name} experiment")
+    grid, *size = (given[flag] if given[flag] is not None else flags[flag] for flag in flags)
     seeds = _seed_range(args.seed, args.seeds, default_seeds)
-    report = run(grid, seeds, *size, threads=threads)
+    report = run(grid, seeds, *size, threads=0)  # one worker per CPU in the affinity mask
     # created only once the report exists, so a rejected run leaves nothing
     out.mkdir(parents=True, exist_ok=True)
     write_records_csv(report.records, out / "trials.csv")
@@ -292,7 +285,7 @@ def cmd_experiment(args) -> int:
         "command": "experiment",
         "name": report.name,
         "trials": len(report.records),
-        "threads": threads,
+        "threads": min(_resolve_threads(0), len(report.records)),  # the pool's size
         "out": str(out),
     })
     return 0
@@ -337,17 +330,10 @@ def _seed_range(master: int, count, default: int) -> list:
     return list(range(int(master), int(master) + n))
 
 
-def _threads_from_env():
-    raw = os.environ.get("EIV_PCR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BadParam(f"EIV_PCR_THREADS={raw!r} is not an integer") from None
-    if value < 0:
-        raise BadParam("EIV_PCR_THREADS must be >= 0")
-    return _resolve_threads(value)  # 0 = one worker per CPU
+def _takes(flag: str) -> str:
+    """The experiments that take ``flag``, with its default in each."""
+    return "; ".join(f"{name}: default {' '.join(map(str, np.atleast_1d(flags[flag])))}"
+                     for name, (_, _, flags) in _EXPERIMENTS.items() if flag in flags)
 
 
 def _write_table(rows, path, fmt: str) -> None:

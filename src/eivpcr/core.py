@@ -154,17 +154,16 @@ class SvdFactors:
             object.__setattr__(self, name, a)
 
 
-def _apply_sign_convention(vt: np.ndarray, u: np.ndarray | None = None) -> None:
-    """Flip rows of ``vt`` in place to :class:`SvdFactors`' convention, and
-    the paired columns of ``u`` when a caller has them."""
+def _apply_sign_convention(vt: np.ndarray, u: np.ndarray) -> None:
+    """Flip rows of ``vt`` and the paired columns of ``u`` in place to
+    :class:`SvdFactors`' convention."""
     if vt.size == 0:
         return
     # argmax returns the first of tied maxima: the lowest column index
     peak_cols = np.abs(vt).argmax(axis=1)
     sign = np.where(vt[np.arange(vt.shape[0]), peak_cols] < 0, -1.0, 1.0)
     vt *= sign[:, None]  # multiplying by 1.0 or -1.0 is exact
-    if u is not None:
-        u *= sign
+    u *= sign
 
 
 def svd(m) -> SvdFactors:

@@ -342,6 +342,26 @@ class TestSc:
         got = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         np.testing.assert_allclose(got, expected, rtol=1e-8)
 
+    def test_json_format_matches_the_csv_table(self, tmp_path, capsys):
+        panel, _ = _panel_files(tmp_path)
+        tables = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"traj.{fmt}"
+            code, _, _ = run_cli(
+                ["sc", "--panel", panel, "--target", "target", "--pre", "6",
+                 "--out", out, "--format", fmt], capsys
+            )
+            assert code == 0
+            tables[fmt] = out.read_text()
+        rows = json.loads(tables["json"])
+        assert isinstance(rows, list) and len(rows) == 3
+        assert all(set(row) == {"time", "estimate"} for row in rows)
+        lines = tables["csv"].splitlines()
+        assert lines[0] == "time,estimate"
+        assert [(row["time"], row["estimate"]) for row in rows] == [
+            (int(t), float(v)) for t, v in (line.split(",") for line in lines[1:])
+        ]
+
     def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path, capsys):
         # Excel's "CSV UTF-8" starts the file with EF BB BF
         panel, expected = _panel_files(tmp_path)
@@ -573,6 +593,27 @@ def test_auto_rank_caps_of_fit_and_sc(tmp_path, capsys):
     assert code == 0 and diag_of(stdout)["k"] == 4
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def _set_affinity(monkeypatch, cpus: int) -> None:
+    """Make this process's affinity mask read as ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+# every study flag with a default some study gives it, then every (study,
+# flag, value) where the study does not take the flag
+_STUDY_FLAGS = {f: d for _, _, flags in cli._EXPERIMENTS.values() for f, d in flags.items()}
+_UNDECLARED_FLAGS = [
+    (name, flag, str(np.atleast_1d(default)[0]))
+    for name, (_, _, flags) in cli._EXPERIMENTS.items()
+    for flag, default in _STUDY_FLAGS.items() if flag not in flags
+]
+
+
 class TestExperiment:
     def _run(self, tmp_path, capsys, name, out, extra=()):
         argv = ["experiment", "--name", name, "--seeds", "2", "--out", out, *extra]
@@ -587,7 +628,7 @@ class TestExperiment:
         d1, d2 = diag_of(out1), diag_of(out2)
         assert d1.pop("out") != d2.pop("out")
         assert d1 == d2
-        assert d1["trials"] == 2 and d1["threads"] == 1
+        assert d1["trials"] == 2 and d1["threads"] == min(_usable_cpus(), 2)
         assert d1["blas_threads"] == (None if _blas._openblas() is None else 1)
         for name in ("trials.csv", "aggregates.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -596,25 +637,30 @@ class TestExperiment:
         assert len(doc["aggregates"]) == 1
 
     def test_thread_count_does_not_change_results(self, tmp_path, capsys, monkeypatch):
-        self._run(tmp_path, capsys, "shift", tmp_path / "serial", extra=["--noise", "0.3"])
-        monkeypatch.setenv("EIV_PCR_THREADS", "2")
-        _, out, _ = self._run(tmp_path, capsys, "shift", tmp_path / "par", extra=["--noise", "0.3"])
-        assert diag_of(out)["threads"] == 2
-        assert diag_of(out)["blas_threads"] == (None if _blas._openblas() is None else 1)
+        for cpus, out in ((1, "serial"), (2, "par")):
+            _set_affinity(monkeypatch, cpus)
+            _, stdout, _ = self._run(tmp_path, capsys, "shift", tmp_path / out,
+                                     extra=["--noise", "0.3"])
+            assert diag_of(stdout)["threads"] == cpus
+            assert diag_of(stdout)["blas_threads"] == (None if _blas._openblas() is None else 1)
         assert (tmp_path / "serial" / "trials.csv").read_bytes() == (
             tmp_path / "par" / "trials.csv"
         ).read_bytes()
 
     def test_zero_threads_reports_the_workers_that_ran(self, tmp_path, capsys, monkeypatch):
-        # 0 is one worker per CPU this process may run on
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count()
-        monkeypatch.setenv("EIV_PCR_THREADS", "0")
+        # one worker per CPU in the affinity mask: 3 of them for 8 trials
+        _set_affinity(monkeypatch, 3)
+        code, out, _ = self._run(tmp_path, capsys, "identification", tmp_path / "x",
+                                 extra=["--p", "27", "--seeds", "1"])
+        assert code == 0
+        assert diag_of(out)["trials"] == 8 and diag_of(out)["threads"] == 3
+
+    def test_threads_reports_at_most_one_worker_per_trial(self, tmp_path, capsys, monkeypatch):
+        # the pool starts no more workers than there are trials
+        _set_affinity(monkeypatch, 4)
         code, out, _ = self._run(tmp_path, capsys, "subspace", tmp_path / "x")
         assert code == 0
-        assert diag_of(out)["threads"] == cpus
+        assert diag_of(out)["trials"] == 2 and diag_of(out)["threads"] == 2
 
     def test_diagnostics_report_unpinned_blas(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(_blas, "_openblas", lambda: None)
@@ -624,38 +670,32 @@ class TestExperiment:
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # on the process's own BLAS threading, p=128 with seed 0 differs in
-        # its last bits between the first two settings
+        # its last bits between the first two settings; each child runs on
+        # one CPU or on all of this process's, so one worker or several
         if _blas._openblas() is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity mask on this platform")
+        every = os.sched_getaffinity(0)
+        one = {min(every)}
         digests = []
-        for blas, workers, launch in (
-            ("1", "1", _AS_PROGRAM), ("2", "0", _AS_PROGRAM), ("1", "0", _AS_PROGRAM),
-            ("2", "1", _AS_PROGRAM), ("2", "0", _NUMPY_FIRST), ("2", "1", _NUMPY_FIRST),
+        for blas, cpus, launch in (
+            ("1", one, _AS_PROGRAM), ("2", every, _AS_PROGRAM), ("1", every, _AS_PROGRAM),
+            ("2", one, _AS_PROGRAM), ("2", every, _NUMPY_FIRST), ("2", one, _NUMPY_FIRST),
         ):
             out = tmp_path / f"run{len(digests)}"
-            env = {**os.environ, "PYTHONPATH": _SRC,
-                   "OPENBLAS_NUM_THREADS": blas, "EIV_PCR_THREADS": workers}
+            env = {**os.environ, "PYTHONPATH": _SRC, "OPENBLAS_NUM_THREADS": blas}
             subprocess.run(
                 [sys.executable, *launch, "experiment", "--name", "identification",
                  "--p", "64", "--p", "128", "--seeds", "1", "--out", str(out)],
                 env=env, check=True, capture_output=True, timeout=300,
+                preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus),
             )
             digests.append({
                 name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("trials.csv", "aggregates.json")
             })
         assert all(d == digests[0] for d in digests)
-
-    def test_bad_thread_env_exits_two(self, tmp_path, capsys, monkeypatch):
-        for raw, message in [
-            ("many", "EIV_PCR_THREADS='many' is not an integer"),
-            ("-1", "EIV_PCR_THREADS must be >= 0"),
-        ]:
-            monkeypatch.setenv("EIV_PCR_THREADS", raw)
-            code, _, stderr = self._run(tmp_path, capsys, "subspace", tmp_path / "x")
-            assert code == 2
-            assert error_of(stderr) == {"error": "BadParam", "message": message}
-            assert not (tmp_path / "x").exists()
 
     def test_identification_rejects_size(self, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -667,7 +707,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize("argv, message", [
         (["--name", "identification", "--size", "10"],
-         "identification sweeps its own sample sizes; --size is not applicable"),
+         "--size does not apply to the identification experiment"),
         (["--name", "shift", "--size", "10", "--seeds", "1"], "size=10 must be >= 50"),
         (["--name", "subspace", "--noise", "0.1", "--noise", "0.1", "--size", "60", "--seeds", "2"],
          "noise variance 0.1 repeats 0.1"),
@@ -678,8 +718,8 @@ class TestExperiment:
         (["--name", "shift", "--noise", "10", "--noise", "10.000001", "--size", "50", "--seeds", "1"],
          "noise variance 10.000001 repeats 10.0"),
         (["--name", "identification", "--noise", "0.1"],
-         "identification pins its noise level; --noise is not applicable"),
-        (["--name", "shift", "--p", "27"], "--p applies to the identification experiment only"),
+         "--noise does not apply to the identification experiment"),
+        (["--name", "shift", "--p", "27"], "--p does not apply to the shift experiment"),
         (["--name", "subspace", "--seeds", "0"], "--seeds 0 must be >= 1"),
     ])
     def test_rejected_run_exits_two_and_creates_no_out_dir(self, tmp_path, capsys, argv, message):
@@ -688,6 +728,26 @@ class TestExperiment:
         assert code == 2
         assert stdout == ""
         assert error_of(stderr) == {"error": "BadParam", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, flag, value", _UNDECLARED_FLAGS,
+                             ids=[f"{name}-{flag}" for name, flag, _ in _UNDECLARED_FLAGS])
+    def test_a_flag_the_study_does_not_take_is_rejected(
+        self, tmp_path, capsys, monkeypatch, name, flag, value
+    ):
+        def no_trials(*args):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(experiments, "_run_trials", no_trials)
+        out = tmp_path / "d"
+        code, stdout, stderr = run_cli(
+            ["experiment", "--name", name, f"--{flag}", value, "--out", out], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert error_of(stderr) == {
+            "error": "BadParam", "message": f"--{flag} does not apply to the {name} experiment",
+        }
         assert not out.exists()
 
     def test_negative_zero_noise_writes_the_bytes_of_zero(self, tmp_path, capsys):

@@ -448,11 +448,10 @@ def test_no_sign_choice_reaches_beta_hat_or_y_hat(n, m, p, monkeypatch):
     want, want_y_hat = run()
     rule = core._apply_sign_convention
 
-    def every_pair_negated(vt, u=None):
+    def every_pair_negated(vt, u):
         rule(vt, u)
         vt *= -1.0
-        if u is not None:
-            u *= -1.0
+        u *= -1.0
 
     monkeypatch.setattr(core, "_apply_sign_convention", every_pair_negated)
     got, got_y_hat = run()
